@@ -25,17 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisDegenerate, DomainError
+from .channels import check_transmission
+from .errors import BasisDegenerate
 from .fock import CatParams
 
 EPS_BASIS = 1e-12   # 1 - p_t^2 below this: branches coincide, 2x2 basis gone
 EPS_GAP = 1e-12     # squared eigenvalue gap below this: spectrum degenerate
 EPS_Z = 1e-300      # off-diagonal weight below this is treated as exactly 0
-
-
-def _check_transmission(T: float) -> None:
-    if not 0.0 <= T <= 1.0:
-        raise DomainError("T must lie in [0,1]")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,7 @@ class LossyRho2x2:
     n_alpha_sq: float = field(init=False)
 
     def __post_init__(self):
-        _check_transmission(self.transmission)
+        check_transmission(self.transmission)
         params = CatParams(self.alpha, self.omega)
         a2 = self.alpha * self.alpha
         T = self.transmission
@@ -264,7 +260,7 @@ def qfi_lossy(alpha: float, phi: float, omega: float, transmission: float) -> fl
     phi = 0 stays optimal under loss.
     """
     CatParams(alpha, omega)        # domain checks (alpha >= 0, omega window)
-    _check_transmission(transmission)
+    check_transmission(transmission)
     if transmission == 0.0 or alpha == 0.0:
         return 0.0
     rho2 = reduced_density(alpha, phi, omega, transmission)
@@ -295,7 +291,7 @@ def qfi_lossy_max(alpha: float, omega: float, transmission: float) -> float:
     against qfi_lossy(phi=0) is exact.
     """
     CatParams(alpha, omega)
-    _check_transmission(transmission)
+    check_transmission(transmission)
     if transmission == 0.0 or alpha == 0.0:
         return 0.0
     rho2 = reduced_density(alpha, 0.0, omega, transmission)
@@ -319,7 +315,7 @@ def qfi_lossy_even(alpha: float, phi: float, transmission: float) -> float:
         + 4 T^2 a^4 cos^2(phi) [1 - 4 M2^2 (1 - p_r^2)]
         - 16 T^2 a^4 sin^2(phi) M2^2 (1 - p_r^2) p_t^2.
     """
-    _check_transmission(transmission)
+    check_transmission(transmission)
     if transmission == 0.0 or alpha == 0.0:
         return 0.0
     T = transmission
@@ -347,7 +343,7 @@ def branch_amplitudes(alpha: float, phi: float, transmission: float
     |A> = |i s (1+e^{i phi}), s (1-e^{i phi})>,
     |B> = |-i s (1-e^{i phi}), -s (1+e^{i phi})>, s = alpha sqrt(T/2).
     """
-    _check_transmission(transmission)
+    check_transmission(transmission)
     s = alpha * math.sqrt(transmission / 2.0)
     e = cmath.exp(1j * phi)
     return (
@@ -376,7 +372,7 @@ def branch_jz_moments(alpha: float, phi: float, transmission: float) -> BranchMo
     <A|Jz^2|A> = <B|Jz^2|B> = T a^2 / 2 + T^2 a^4 cos^2 phi;
     <A|Jz^2|B> = -p_t T^2 a^4 sin^2 phi; <A|B> = p_t = exp(-2 a^2 T).
     """
-    _check_transmission(transmission)
+    check_transmission(transmission)
     ta2 = transmission * alpha * alpha
     p_t = math.exp(-2.0 * ta2)
     jz_aa = ta2 * math.cos(phi)
@@ -422,7 +418,7 @@ def qfi_lossy_parts(alpha: float, phi: float, omega: float, transmission: float
     and every bracket reduces to the closed-form branch moments.
     """
     CatParams(alpha, omega)
-    _check_transmission(transmission)
+    check_transmission(transmission)
     rho2 = reduced_density(alpha, phi, omega, transmission)
     eig = eigensystem_2x2(rho2)
     mom = branch_jz_moments(alpha, phi, transmission)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,12 +21,14 @@ from .fock import (
     TwoModeState,
     fock_basis,
     hop_operator,
+    lowering_map,
     schwinger_ops,
     two_mode_basis,
 )
 
 
-def _check_transmission(T: float) -> None:
+def check_transmission(T: float) -> None:
+    """Raise DomainError unless 0 <= T <= 1 (NaN included)."""
     if not 0.0 <= T <= 1.0:
         raise DomainError("T must lie in [0,1]")
 
@@ -42,7 +45,7 @@ class BeamSplitterSpec:
     transmission: float
 
     def __post_init__(self):
-        _check_transmission(self.transmission)
+        check_transmission(self.transmission)
 
     @property
     def reflection(self) -> float:
@@ -60,7 +63,7 @@ class LossSpec:
     transmission: float
 
     def __post_init__(self):
-        _check_transmission(self.transmission)
+        check_transmission(self.transmission)
 
     @property
     def reflection(self) -> float:
@@ -110,9 +113,7 @@ def beam_splitter_unitary(spec: BeamSplitterSpec, cutoff: FockCutoff,
 
 def phase_shift_unitary(theta: float, cutoff: FockCutoff) -> np.ndarray:
     """Differential phase exp(i theta J_z): diagonal e^{i theta (n_A-n_B)/2}."""
-    basis = two_mode_basis(cutoff)
-    occ = basis.occupations
-    jz_diag = 0.5 * (occ[:, 0] - occ[:, 1]).astype(float)
+    jz_diag = np.diag(schwinger_ops(cutoff).jz).real
     return np.diag(np.exp(1j * theta * jz_diag))
 
 
@@ -134,7 +135,7 @@ def loss_kraus_coefficients(n_max: int, T: float) -> np.ndarray:
     K_k = sqrt((1-T)^k / k!) T^{n_hat/2} a^k, which satisfy
     sum_k K_k^dag K_k = 1 exactly (binomial theorem row by row).
     """
-    _check_transmission(T)
+    check_transmission(T)
     R = 1.0 - T
     coef = np.zeros((n_max + 1, n_max + 1))
     for n in range(n_max + 1):
@@ -143,40 +144,41 @@ def loss_kraus_coefficients(n_max: int, T: float) -> np.ndarray:
     return coef
 
 
+def _kraus_maps(basis: FockBasis, mode: int, T: float):
+    """(src, tgt, weights) of each loss Kraus operator K_k on `mode`, k = 0..n_max."""
+    coef = loss_kraus_coefficients(basis.n_max, T)
+    n = basis.occupations[:, mode]
+    for k in range(basis.n_max + 1):
+        src, tgt = lowering_map(basis, mode, k)
+        yield src, tgt, coef[k, n[src]]
+
+
 def loss_kraus_operators(basis: FockBasis, mode: int, spec: LossSpec
                          ) -> list[np.ndarray]:
     """Dense Kraus matrices of the loss channel on one mode."""
-    coef = loss_kraus_coefficients(basis.n_max, spec.transmission)
     ops = []
-    for k in range(basis.n_max + 1):
+    for src, tgt, w in _kraus_maps(basis, mode, spec.transmission):
         K = np.zeros((basis.dim, basis.dim), dtype=complex)
-        for i, occ in enumerate(basis.states):
-            n = occ[mode]
-            if n < k:
-                continue
-            tgt = list(occ)
-            tgt[mode] -= k
-            K[basis.index[tuple(tgt)], i] = coef[k, n]
+        K[tgt, src] = w
         ops.append(K)
     return ops
 
 
-def _loss_shift_maps(basis: FockBasis, mode: int, T: float):
-    """Per-k (source indices, target indices, weights) for the loss Kraus."""
-    coef = loss_kraus_coefficients(basis.n_max, T)
-    occ_mode = basis.occupations[:, mode]
-    maps = []
-    for k in range(basis.n_max + 1):
-        src = np.nonzero(occ_mode >= k)[0]
-        if src.size == 0:
-            break
-        tgt_occ = basis.occupations[src].copy()
-        tgt_occ[:, mode] -= k
-        tgt = np.fromiter(
-            (basis.index[tuple(row)] for row in tgt_occ), dtype=np.int64, count=src.size
-        )
-        maps.append((src, tgt, coef[k, occ_mode[src]]))
-    return maps
+def kraus_fan_out(branches: np.ndarray, basis: FockBasis, mode: int, T: float,
+                  prune: float) -> np.ndarray:
+    """Loss on one mode applied to a stack of pure branch vectors.
+
+    Row b * (n_max + 1) + k of the result is K_k branches[b]; rows whose
+    squared norm is below `prune` are dropped.  Because every K_k is a
+    contraction, fanning out one arm at a time and pruning after each arm
+    keeps exactly the branches a joint fan-out would keep, in the same order.
+    """
+    out = np.zeros((branches.shape[0], basis.n_max + 1, basis.dim), dtype=complex)
+    for k, (src, tgt, w) in enumerate(_kraus_maps(basis, mode, T)):
+        out[:, k, tgt] = branches[:, src] * w
+    out = out.reshape(-1, basis.dim)
+    pairs = out.view(float)
+    return out[np.einsum("ij,ij->i", pairs, pairs) >= prune]
 
 
 def apply_loss(rho: np.ndarray, basis: FockBasis, mode: int, spec: LossSpec
@@ -187,7 +189,7 @@ def apply_loss(rho: np.ndarray, basis: FockBasis, mode: int, spec: LossSpec
             f"matrix shape {rho.shape} does not fit basis dim {basis.dim}"
         )
     out = np.zeros_like(rho, dtype=complex)
-    for src, tgt, w in _loss_shift_maps(basis, mode, spec.transmission):
+    for src, tgt, w in _kraus_maps(basis, mode, spec.transmission):
         out[np.ix_(tgt, tgt)] += (w[:, None] * w[None, :]) * rho[np.ix_(src, src)]
     return out
 
@@ -201,35 +203,38 @@ def loss_channel(dm: DensityMatrix, spec: LossSpec) -> DensityMatrix:
     return DensityMatrix(out, dm.cutoff, n_modes=dm.n_modes, tail_mass=dm.tail_mass)
 
 
-def _partial_trace_raw(rho: np.ndarray, basis: FockBasis, keep: tuple[int, ...]
-                       ) -> tuple[np.ndarray, FockBasis]:
-    keep = tuple(keep)
-    traced = tuple(m for m in range(basis.n_modes) if m not in keep)
-    if not traced:
-        return rho.copy(), basis
-    kept_basis = fock_basis(len(keep), basis.n_max)
-    kept_idx = np.fromiter(
-        (kept_basis.index[tuple(s[m] for m in keep)] for s in basis.states),
-        dtype=np.int64, count=basis.dim,
-    )
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, s in enumerate(basis.states):
-        groups.setdefault(tuple(s[m] for m in traced), []).append(i)
-    out = np.zeros((kept_basis.dim, kept_basis.dim), dtype=complex)
-    for idxs in groups.values():
-        ii = np.asarray(idxs)
-        ki = kept_idx[ii]
-        out[np.ix_(ki, ki)] += rho[np.ix_(ii, ii)]
-    return out, kept_basis
+@lru_cache(maxsize=None)
+def _trace_groups(basis: FockBasis, keep: tuple[int, ...]
+                  ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """States grouped by the occupations of the traced modes.
+
+    One (indices in the full basis, indices in the kept basis) pair per
+    group; groups come in order of first appearance in the full basis.
+    """
+    occ = basis.occupations
+    traced = [m for m in range(basis.n_modes) if m not in keep]
+    kept_idx = fock_basis(len(keep), basis.n_max).lookup(occ[:, list(keep)])
+    group = fock_basis(len(traced), basis.n_max).lookup(occ[:, traced])
+    order = np.argsort(group, kind="stable")
+    cuts = np.flatnonzero(np.diff(group[order])) + 1
+    return tuple((ii, kept_idx[ii]) for ii in np.split(order, cuts))
 
 
 def partial_trace(dm: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
     """Trace out every mode not in `keep`."""
     if max(keep, default=-1) >= dm.n_modes or min(keep, default=0) < 0:
         raise DimensionMismatch(f"keep modes {keep} out of range for {dm.n_modes} modes")
-    out, kept_basis = _partial_trace_raw(dm.matrix, dm.basis, keep)
-    return DensityMatrix(out, dm.cutoff, n_modes=kept_basis.n_modes,
-                         tail_mass=dm.tail_mass)
+    if len(set(keep)) < len(keep):
+        raise DimensionMismatch(f"keep modes {keep} repeat a mode")
+    keep = tuple(keep)
+    if all(m in keep for m in range(dm.n_modes)):
+        return DensityMatrix(dm.matrix.copy(), dm.cutoff, n_modes=dm.n_modes,
+                             tail_mass=dm.tail_mass)
+    rho = dm.matrix
+    out = np.zeros((fock_basis(len(keep), dm.cutoff.n_max).dim,) * 2, dtype=complex)
+    for ii, ki in _trace_groups(dm.basis, keep):
+        out[np.ix_(ki, ki)] += rho[np.ix_(ii, ii)]
+    return DensityMatrix(out, dm.cutoff, n_modes=len(keep), tail_mass=dm.tail_mass)
 
 
 def loss_channel_ancilla(state: TwoModeState, spec: LossSpec) -> DensityMatrix:
@@ -242,24 +247,15 @@ def loss_channel_ancilla(state: TwoModeState, spec: LossSpec) -> DensityMatrix:
     """
     n_max = state.cutoff.n_max
     big = fock_basis(4, n_max)
+    occ = state.basis.occupations
     psi4 = np.zeros(big.dim, dtype=complex)
-    for i, (na, nb) in enumerate(state.basis.states):
-        psi4[big.index[(na, nb, 0, 0)]] = state.amplitudes[i]
+    psi4[big.lookup(np.pad(occ, ((0, 0), (0, 2))))] = state.amplitudes
     angle = BeamSplitterSpec(spec.transmission).mixing_angle
     psi4 = number_conserving_expm_apply(big, pair_jx(big, 0, 2), angle, psi4)
     psi4 = number_conserving_expm_apply(big, pair_jx(big, 1, 3), angle, psi4)
-    # partial trace of a pure state, grouped by ancilla occupations
-    kept_basis = fock_basis(2, n_max)
-    kept_idx = np.fromiter(
-        (kept_basis.index[(s[0], s[1])] for s in big.states),
-        dtype=np.int64, count=big.dim,
-    )
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, s in enumerate(big.states):
-        groups.setdefault((s[2], s[3]), []).append(i)
-    rho = np.zeros((kept_basis.dim, kept_basis.dim), dtype=complex)
-    for idxs in groups.values():
-        ii = np.asarray(idxs)
+    # partial trace of a pure state: each ancilla group adds one outer product
+    rho = np.zeros((state.basis.dim,) * 2, dtype=complex)
+    for ii, ki in _trace_groups(big, (0, 1)):
         chunk = psi4[ii]
-        rho[np.ix_(kept_idx[ii], kept_idx[ii])] += np.outer(chunk, chunk.conj())
+        rho[np.ix_(ki, ki)] += np.outer(chunk, chunk.conj())
     return DensityMatrix(rho, state.cutoff, n_modes=2, tail_mass=state.tail_mass)

@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 invalid parameters, 3 file I/O failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from ._version import __version__
@@ -92,6 +93,8 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         flag = getattr(args, dest, None)
         if flag is not None:
             values[dest] = flag
+        if isinstance(values[dest], float) and not math.isfinite(values[dest]):
+            raise DomainError(f"{dest} must be finite, got {values[dest]!r}")
     return values
 
 

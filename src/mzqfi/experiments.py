@@ -22,6 +22,7 @@ from .analytic import (
     qfi_lossy_max,
     total_photon_number,
 )
+from .channels import check_transmission
 from .errors import DomainError
 from .fock import EPS_TAIL, FockCutoff
 from .qfi import EPS_RANK
@@ -75,8 +76,8 @@ class SweepGrid:
             raise DomainError("phi must lie in [-pi/2, pi/2)")
         if self.omega_grid[0] < 0.0 or self.omega_grid[-1] >= math.pi:
             raise DomainError("omega must lie in [0, pi)")
-        if self.T_grid[0] < 0.0 or self.T_grid[-1] > 1.0:
-            raise DomainError("T must lie in [0,1]")
+        check_transmission(self.T_grid[0])
+        check_transmission(self.T_grid[-1])
         if self.method not in _METHODS:
             raise DomainError(f"method must be one of {_METHODS}")
 
@@ -152,7 +153,11 @@ def _evaluate_star(args) -> SweepRecord:
 def resolve_jobs(jobs: int | None) -> int:
     """Explicit value, else MZQFI_JOBS, else 1."""
     if jobs is None:
-        jobs = int(os.environ.get("MZQFI_JOBS", "1"))
+        text = os.environ.get("MZQFI_JOBS", "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise DomainError(f"MZQFI_JOBS must be an integer, got {text!r}") from None
     return max(1, jobs)
 
 

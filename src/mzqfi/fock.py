@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -51,7 +51,10 @@ def default_cutoff(alpha_scale: float) -> FockCutoff:
     for the amplitudes this package sweeps (a <= ~2.2).
     """
     a = abs(alpha_scale)
-    return FockCutoff(math.ceil(2.0 * a * a + 10.0 * a + 10.0))
+    bound = 2.0 * a * a + 10.0 * a + 10.0
+    if not math.isfinite(bound):
+        raise DomainError(f"no finite Fock cutoff for amplitude {alpha_scale!r}")
+    return FockCutoff(math.ceil(bound))
 
 
 class FockBasis:
@@ -75,13 +78,31 @@ class FockBasis:
         self.states: tuple[tuple[int, ...], ...] = tuple(states)
         self.index: dict[tuple[int, ...], int] = {s: i for i, s in enumerate(states)}
         self.dim = len(states)
-        self.occupations = np.array(states, dtype=np.int64)
+        # column-major: each mode's occupations are contiguous, which keeps
+        # the per-mode reductions of the shift maps vectorized
+        self.occupations = np.array(states, dtype=np.int64, order="F")
         self.block_slices: list[slice] = []
         start = 0
         for total in range(n_max + 1):
             size = math.comb(total + n_modes - 1, n_modes - 1)
             self.block_slices.append(slice(start, start + size))
             start += size
+
+    @cached_property
+    def _lookup_table(self) -> np.ndarray:
+        table = np.full((self.n_max + 1,) * self.n_modes, -1, dtype=np.int64)
+        table[tuple(self.occupations.T)] = np.arange(self.dim)
+        table.setflags(write=False)
+        return table
+
+    def lookup(self, occupations: np.ndarray) -> np.ndarray:
+        """Basis indices of occupation rows (last axis = modes), -1 if outside.
+
+        Every entry must lie in 0..n_max; rows whose total exceeds n_max
+        map to -1.
+        """
+        occ = np.asarray(occupations)
+        return self._lookup_table[tuple(np.moveaxis(occ, -1, 0))]
 
     def __repr__(self):
         return f"FockBasis(n_modes={self.n_modes}, n_max={self.n_max}, dim={self.dim})"
@@ -96,34 +117,45 @@ def two_mode_basis(cutoff: FockCutoff) -> FockBasis:
     return fock_basis(2, cutoff.n_max)
 
 
+@lru_cache(maxsize=None)
+def shift_map(basis: FockBasis, delta: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (src, tgt) of the occupation shift n -> n + delta.
+
+    src lists, in basis order, every state whose shifted occupations stay
+    in the basis; tgt[i] is the index of the shifted state.  a_j^k is
+    delta = -k e_j, a_i^dagger a_j is delta = e_i - e_j.
+    """
+    shifted = basis.occupations + np.asarray(delta)
+    src = np.nonzero((shifted >= 0).all(axis=1) & (shifted.sum(axis=1) <= basis.n_max))[0]
+    tgt = basis.lookup(shifted[src])
+    src.setflags(write=False)
+    tgt.setflags(write=False)
+    return src, tgt
+
+
+def lowering_map(basis: FockBasis, mode: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """shift_map of a_mode^k: remove k photons from `mode`."""
+    return shift_map(basis, tuple(-k if m == mode else 0 for m in range(basis.n_modes)))
+
+
 def hop_operator(basis: FockBasis, to_mode: int, from_mode: int) -> np.ndarray:
     """Matrix of a_to^dagger a_from.  Number conserving, exact on the basis."""
+    occ = basis.occupations
     if to_mode == from_mode:
-        return np.diag(basis.occupations[:, to_mode].astype(float)).astype(complex)
+        return np.diag(occ[:, to_mode].astype(float)).astype(complex)
+    delta = tuple((m == to_mode) - (m == from_mode) for m in range(basis.n_modes))
+    src, tgt = shift_map(basis, delta)
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i, occ in enumerate(basis.states):
-        n_from = occ[from_mode]
-        if n_from == 0:
-            continue
-        tgt = list(occ)
-        tgt[from_mode] -= 1
-        tgt[to_mode] += 1
-        j = basis.index[tuple(tgt)]
-        out[j, i] = math.sqrt(n_from * (occ[to_mode] + 1))
+    out[tgt, src] = np.sqrt((occ[src, from_mode] * (occ[src, to_mode] + 1)).astype(float))
     return out
 
 
 def lowering_power(basis: FockBasis, mode: int, k: int) -> np.ndarray:
     """Matrix of a_mode^k.  Lowers total photon number, exact on the basis."""
+    src, tgt = lowering_map(basis, mode, k)
+    sqrt_perm = np.array([math.sqrt(math.perm(n, k)) for n in range(basis.n_max + 1)])
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i, occ in enumerate(basis.states):
-        n = occ[mode]
-        if n < k:
-            continue
-        tgt = list(occ)
-        tgt[mode] -= k
-        j = basis.index[tuple(tgt)]
-        out[j, i] = math.sqrt(math.perm(n, k))
+    out[tgt, src] = sqrt_perm[basis.occupations[src, mode]]
     return out
 
 
@@ -161,6 +193,35 @@ def schwinger_ops(cutoff: FockCutoff) -> SchwingerOps:
     return _schwinger_cached(cutoff.n_max)
 
 
+def coherent_sequence(gamma: complex, n_max: int) -> np.ndarray:
+    """Exact amplitudes c_n = exp(-|gamma|^2/2) gamma^n / sqrt(n!), n = 0..n_max."""
+    c = np.empty(n_max + 1, dtype=complex)
+    c[0] = math.exp(-0.5 * abs(gamma) ** 2)
+    for n in range(1, n_max + 1):
+        c[n] = c[n - 1] * gamma / math.sqrt(n)
+    return c
+
+
+def two_mode_product(ca: np.ndarray, cb: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
+    """Amplitudes of the product of single-mode sequences on the two-mode basis."""
+    occ = two_mode_basis(cutoff).occupations
+    return ca[occ[:, 0]] * cb[occ[:, 1]]
+
+
+def _renormalize(c: np.ndarray, tol_tail: float, what: str) -> tuple[np.ndarray, float]:
+    """Read-only unit-norm copy of truncated amplitudes, plus the lost mass.
+
+    Raises TailTooLarge when the lost (tail) mass exceeds tol_tail.
+    """
+    retained = float(np.vdot(c, c).real)
+    tail = max(0.0, 1.0 - retained)
+    if tail > tol_tail:
+        raise TailTooLarge(tail, tol_tail, what)
+    c = c / math.sqrt(retained)
+    c.setflags(write=False)
+    return c, tail
+
+
 def coherent_amplitudes(
     gamma: complex, cutoff: FockCutoff, tol_tail: float = EPS_TAIL
 ) -> tuple[np.ndarray, float]:
@@ -170,18 +231,10 @@ def coherent_amplitudes(
     where tail is the probability mass beyond the cutoff before
     renormalization.  Raises TailTooLarge when tail > tol_tail.
     """
-    n_max = cutoff.n_max
-    c = np.zeros(n_max + 1, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(gamma) ** 2)
-    for n in range(1, n_max + 1):
-        c[n] = c[n - 1] * gamma / math.sqrt(n)
-    retained = float(np.vdot(c, c).real)
-    tail = max(0.0, 1.0 - retained)
-    if tail > tol_tail:
-        raise TailTooLarge(tail, tol_tail, f"coherent |gamma|={abs(gamma):.4g}, n_max={n_max}")
-    c /= math.sqrt(retained)
-    c.setflags(write=False)
-    return c, tail
+    return _renormalize(
+        coherent_sequence(gamma, cutoff.n_max), tol_tail,
+        f"coherent |gamma|={abs(gamma):.4g}, n_max={cutoff.n_max}",
+    )
 
 
 @dataclass(frozen=True)
@@ -198,6 +251,8 @@ class CatParams:
     n_alpha_sq: float = field(init=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha * self.alpha):
+            raise DomainError(f"alpha must be finite with a finite square, got {self.alpha!r}")
         if self.alpha < 0:
             raise DomainError("alpha must be non-negative")
         if not 0.0 <= self.omega <= math.pi:
@@ -210,28 +265,23 @@ class CatParams:
         object.__setattr__(self, "n_alpha_sq", 1.0 / denom)
 
 
+def _cat_sequence(params: CatParams, n_max: int) -> np.ndarray:
+    """Exact amplitudes N_a (c(alpha) + e^{i omega} c(-alpha)), n = 0..n_max."""
+    phase = complex(math.cos(params.omega), math.sin(params.omega))
+    return math.sqrt(params.n_alpha_sq) * (
+        coherent_sequence(params.alpha, n_max)
+        + phase * coherent_sequence(-params.alpha, n_max)
+    )
+
+
 def cat_state(
     params: CatParams, cutoff: FockCutoff, tol_tail: float = EPS_TAIL
 ) -> tuple[np.ndarray, float]:
     """Truncated amplitudes of the normalized cat state, plus tail mass."""
-    n_max = cutoff.n_max
-    alpha, omega = params.alpha, params.omega
-    amp = math.exp(-0.5 * alpha * alpha)
-    c = np.zeros(n_max + 1, dtype=complex)
-    phase = complex(math.cos(omega), math.sin(omega))
-    na = math.sqrt(params.n_alpha_sq)
-    term = amp
-    for n in range(n_max + 1):
-        if n > 0:
-            term *= alpha / math.sqrt(n)
-        c[n] = na * term * (1.0 + phase * (-1.0) ** n)
-    retained = float(np.vdot(c, c).real)
-    tail = max(0.0, 1.0 - retained)
-    if tail > tol_tail:
-        raise TailTooLarge(tail, tol_tail, f"cat alpha={alpha:.4g}, n_max={n_max}")
-    c = c / math.sqrt(retained)
-    c.setflags(write=False)
-    return c, tail
+    return _renormalize(
+        _cat_sequence(params, cutoff.n_max), tol_tail,
+        f"cat alpha={params.alpha:.4g}, n_max={cutoff.n_max}",
+    )
 
 
 @dataclass(frozen=True)
@@ -322,27 +372,9 @@ def input_state(
         cutoff = default_cutoff(math.hypot(alpha, cat.alpha))
     n_max = cutoff.n_max
     gamma = 1j * alpha * complex(math.cos(phi), math.sin(phi))
-    # exact (unrenormalized) single-mode coefficient sequences
-    ca = np.zeros(n_max + 1, dtype=complex)
-    ca[0] = math.exp(-0.5 * alpha * alpha)
-    for n in range(1, n_max + 1):
-        ca[n] = ca[n - 1] * gamma / math.sqrt(n)
-    phase = complex(math.cos(cat.omega), math.sin(cat.omega))
-    na = math.sqrt(cat.n_alpha_sq)
-    cb = np.zeros(n_max + 1, dtype=complex)
-    term = math.exp(-0.5 * cat.alpha * cat.alpha)
-    for n in range(n_max + 1):
-        if n > 0:
-            term *= cat.alpha / math.sqrt(n)
-        cb[n] = na * term * (1.0 + phase * (-1.0) ** n)
-    basis = two_mode_basis(cutoff)
-    occ = basis.occupations
-    psi = ca[occ[:, 0]] * cb[occ[:, 1]]
-    retained = float(np.vdot(psi, psi).real)
-    tail = max(0.0, 1.0 - retained)
-    if tail > tol_tail:
-        raise TailTooLarge(tail, tol_tail, f"input alpha={alpha:.4g}, n_max={n_max}")
-    psi /= math.sqrt(retained)
+    psi = two_mode_product(coherent_sequence(gamma, n_max), _cat_sequence(cat, n_max),
+                           cutoff)
+    psi, tail = _renormalize(psi, tol_tail, f"input alpha={alpha:.4g}, n_max={n_max}")
     return TwoModeState(psi, cutoff, tail_mass=tail)
 
 

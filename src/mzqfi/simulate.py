@@ -2,10 +2,11 @@
 
 Pipeline for the mixed probe: product input -> balanced splitter
 exp(i (pi/2) J_x) -> photon loss of transmittance T on both arms,
-realized as a Kraus fan-out of the pure state.  Each Kraus pair (k, l)
-(k photons lost from arm A, l from arm B) just shifts occupation numbers
-down and reweights, so every branch stays a vector and the density matrix
-is assembled once as a Gram matrix of the surviving branches.
+realized as a Kraus fan-out of the pure state, arm A then arm B.  Each
+Kraus pair (k, l) (k photons lost from arm A, l from arm B) just shifts
+occupation numbers down and reweights, so every branch stays a vector and
+the density matrix is assembled once as a Gram matrix of the surviving
+branches.
 
 The phase generator for the mixed probe is J_z (phase accumulates between
 the splitters); for the lossless case the probe stays pure and the QFI is
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import loss_kraus_coefficients, number_conserving_expm
+from .channels import kraus_fan_out, number_conserving_expm
 from .fock import (
     EPS_TAIL,
     CatParams,
@@ -50,15 +51,6 @@ def _first_splitter(n_max: int) -> np.ndarray:
     return number_conserving_expm(two_mode_basis(cutoff), ops.jx, math.pi / 2.0)
 
 
-@lru_cache(maxsize=None)
-def _index_table(n_max: int) -> np.ndarray:
-    basis = two_mode_basis(FockCutoff(n_max))
-    tab = np.full((n_max + 1, n_max + 1), -1, dtype=np.int64)
-    occ = basis.occupations
-    tab[occ[:, 0], occ[:, 1]] = np.arange(basis.dim)
-    return tab
-
-
 def probe_state(
     alpha: float,
     phi: float,
@@ -85,30 +77,11 @@ def lossy_probe_density(
     if cutoff is None:
         cutoff = probe_cutoff(alpha)
     state = probe_state(alpha, phi, omega, cutoff, tol_tail)
-    n_max = cutoff.n_max
-    psi = _first_splitter(n_max) @ state.amplitudes
-    basis = state.basis
-    occ = basis.occupations
-    na, nb = occ[:, 0], occ[:, 1]
-    coef = loss_kraus_coefficients(n_max, transmission)
-    tab = _index_table(n_max)
-    branches = []
-    for k in range(n_max + 1):
-        src_k = np.nonzero(na >= k)[0]
-        if src_k.size == 0:
-            break
-        for l in range(n_max + 1):
-            src = src_k[nb[src_k] >= l]
-            if src.size == 0:
-                break
-            amp = coef[k, na[src]] * coef[l, nb[src]] * psi[src]
-            if float(np.vdot(amp, amp).real) < prune:
-                continue
-            vec = np.zeros(basis.dim, dtype=complex)
-            vec[tab[na[src] - k, nb[src] - l]] = amp
-            branches.append(vec)
-    mat = np.array(branches)
-    rho = mat.T @ mat.conj()
+    psi = _first_splitter(cutoff.n_max) @ state.amplitudes
+    branches = psi[None, :]
+    for mode in (0, 1):
+        branches = kraus_fan_out(branches, state.basis, mode, transmission, prune)
+    rho = branches.T @ branches.conj()
     return DensityMatrix(rho, cutoff, n_modes=2, tail_mass=state.tail_mass)
 
 

@@ -35,6 +35,15 @@ def _random_state(basis: fock.FockBasis, rng) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _coherent_product(gamma_a: complex, gamma_b: complex, cutoff: fock.FockCutoff
+                      ) -> np.ndarray:
+    """Normalized truncated |gamma_a> (x) |gamma_b>."""
+    n_max = cutoff.n_max
+    psi = fock.two_mode_product(fock.coherent_sequence(gamma_a, n_max),
+                                fock.coherent_sequence(gamma_b, n_max), cutoff)
+    return psi / np.linalg.norm(psi)
+
+
 def _low_photon_state(cutoff: fock.FockCutoff, rng) -> fock.TwoModeState:
     basis = fock.two_mode_basis(cutoff)
     return fock.TwoModeState(_random_state(basis, rng), cutoff)
@@ -63,17 +72,10 @@ def _check_splitter_coherent_map():
     U = channels.beam_splitter_unitary(spec, cutoff)
     unit = float(np.max(np.abs(U.conj().T @ U - np.eye(basis.dim))))
     a, b = 0.3, 0.2
-    ca, _ = fock.coherent_amplitudes(a, cutoff)
-    cb, _ = fock.coherent_amplitudes(b, cutoff)
-    occ = basis.occupations
-    psi = ca[occ[:, 0]] * cb[occ[:, 1]]
-    psi /= np.linalg.norm(psi)
+    psi = _coherent_product(a, b, cutoff)
     out = U @ psi
     rt, rr = math.sqrt(spec.transmission), math.sqrt(spec.reflection)
-    ca2, _ = fock.coherent_amplitudes(a * rt + 1j * b * rr, cutoff)
-    cb2, _ = fock.coherent_amplitudes(b * rt + 1j * a * rr, cutoff)
-    ref = ca2[occ[:, 0]] * cb2[occ[:, 1]]
-    ref /= np.linalg.norm(ref)
+    ref = _coherent_product(a * rt + 1j * b * rr, b * rt + 1j * a * rr, cutoff)
     infid = 1.0 - abs(np.vdot(ref, out)) ** 2
     ok = unit < 1e-12 and infid < 1e-9
     return ok, f"unitarity defect {unit:.2e}, coherent-map infidelity {infid:.2e}"
@@ -128,16 +130,10 @@ def _check_kraus_vs_ancilla():
 
 def _check_coherent_attenuation():
     cutoff = fock.FockCutoff(12)
-    basis = fock.two_mode_basis(cutoff)
-    ca, _ = fock.coherent_amplitudes(0.3, cutoff)
-    occ = basis.occupations
-    psi = np.where(occ[:, 1] == 0, ca[occ[:, 0]], 0.0).astype(complex)
-    psi /= np.linalg.norm(psi)
+    psi = _coherent_product(0.3, 0.0, cutoff)
     dm = fock.pure_density(fock.TwoModeState(psi, cutoff))
     out = channels.loss_channel(dm, channels.LossSpec(0.83))
-    ca2, _ = fock.coherent_amplitudes(0.3 * math.sqrt(0.83), cutoff)
-    ref = np.where(occ[:, 1] == 0, ca2[occ[:, 0]], 0.0).astype(complex)
-    ref /= np.linalg.norm(ref)
+    ref = _coherent_product(0.3 * math.sqrt(0.83), 0.0, cutoff)
     fid = float(np.real(np.vdot(ref, out.matrix @ ref)))
     return fid > 1.0 - 1e-10, f"attenuated-coherent fidelity 1-{1.0 - fid:.2e}"
 
@@ -201,15 +197,9 @@ def _check_branch_moments():
 
 def _branch_moment_deviation(alpha: float, phi: float, T: float) -> float:
     cutoff = fock.default_cutoff(math.sqrt(2.0) * alpha)
-    basis = fock.two_mode_basis(cutoff)
-    occ = basis.occupations
-    (a_amp, b_amp), (c_amp, d_amp) = analytic.branch_amplitudes(alpha, phi, T)
-    ca, _ = fock.coherent_amplitudes(a_amp, cutoff)
-    cb, _ = fock.coherent_amplitudes(b_amp, cutoff)
-    cc, _ = fock.coherent_amplitudes(c_amp, cutoff)
-    cd, _ = fock.coherent_amplitudes(d_amp, cutoff)
-    vec_a = ca[occ[:, 0]] * cb[occ[:, 1]]
-    vec_b = cc[occ[:, 0]] * cd[occ[:, 1]]
+    branch_a, branch_b = analytic.branch_amplitudes(alpha, phi, T)
+    vec_a = _coherent_product(*branch_a, cutoff)
+    vec_b = _coherent_product(*branch_b, cutoff)
     jz = fock.schwinger_ops(cutoff).jz
     jz2 = jz @ jz
     mom = analytic.branch_jz_moments(alpha, phi, T)

@@ -9,6 +9,7 @@ import pytest
 from mzqfi import (
     BeamSplitterSpec,
     CatParams,
+    DimensionMismatch,
     DomainError,
     FockCutoff,
     LossSpec,
@@ -21,6 +22,7 @@ from mzqfi import (
     loss_channel_ancilla,
     loss_kraus_coefficients,
     loss_kraus_operators,
+    lowering_power,
     mz_unitary,
     number_conserving_expm,
     partial_trace,
@@ -107,6 +109,19 @@ def test_kraus_completeness():
         np.testing.assert_allclose(total, np.eye(basis.dim), atol=1e-13)
 
 
+def test_kraus_operators_match_ladder_form():
+    # K_k = sqrt(R^k / k!) T^{n/2} a^k on each mode of a two-mode basis
+    basis = fock_basis(2, 6)
+    for mode in (0, 1):
+        n = basis.occupations[:, mode]
+        for T in (0.0, 0.35, 1.0):
+            ks = loss_kraus_operators(basis, mode, LossSpec(T))
+            for k, K in enumerate(ks):
+                ref = (math.sqrt((1.0 - T) ** k / math.factorial(k))
+                       * np.diag(T ** (n / 2.0)) @ lowering_power(basis, mode, k))
+                np.testing.assert_allclose(K, ref, rtol=0, atol=1e-14)
+
+
 def test_kraus_coefficients_binomial():
     coef = loss_kraus_coefficients(6, 0.4)
     n, k = 5, 2
@@ -171,3 +186,5 @@ def test_partial_trace_of_product_state():
         assert red.trace().real == pytest.approx(1.0)
         # product input: each reduced state stays pure up to truncation
         assert red.purity() == pytest.approx(1.0, abs=1e-8)
+    with pytest.raises(DimensionMismatch):
+        partial_trace(dm, (0, 0))

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mzqfi
 from mzqfi import read_records
 
@@ -53,6 +55,28 @@ def test_domain_error_exit_code_and_message():
     proc = run_cli("eval", "--alpha", "0.3", "--T", "1.2")
     assert proc.returncode == 2
     assert "T must lie in [0,1]" in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--alpha", "nan", "--T", "0.5"), "alpha must be finite"),
+    (("--alpha", "0.3", "--phi", "nan"), "phi must be finite"),
+    (("--alpha", "1e160"), "alpha must be finite"),
+    (("--alpha", "nan", "--method", "numeric"), "alpha must be finite"),
+    (("--alpha", "1e160", "--method", "numeric"), "no finite Fock cutoff"),
+])
+def test_eval_rejects_non_finite_values(args, message):
+    proc = run_cli("eval", *args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_rejects_non_finite_values(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.3\nT = inf\n")
+    proc = run_cli("eval", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "T must be finite" in proc.stderr
 
 
 def test_missing_config_is_io_error():

@@ -25,6 +25,7 @@ from mzqfi import (
     write_records_csv,
     write_records_json,
 )
+from mzqfi.cli import main
 
 
 def test_default_phi_grid_shape():
@@ -87,6 +88,14 @@ def test_resolve_jobs_env_fallback(monkeypatch):
     assert resolve_jobs(5) == 5
     monkeypatch.delenv("MZQFI_JOBS")
     assert resolve_jobs(None) == 1
+
+
+def test_bad_jobs_variable_is_domain_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("MZQFI_JOBS", "bogus")
+    with pytest.raises(DomainError, match="MZQFI_JOBS"):
+        resolve_jobs(None)
+    assert main(["figure", "fig2b", "--out", str(tmp_path / "fig2b.csv")]) == 2
+    assert "MZQFI_JOBS" in capsys.readouterr().err
 
 
 def test_golden_section_max_quadratic():

@@ -33,6 +33,16 @@ def test_basis_ordering_total_number_blocks():
     assert basis.states == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
+def test_basis_lookup_inverts_occupations():
+    for n_modes, n_max in ((2, 9), (4, 5)):
+        basis = fock_basis(n_modes, n_max)
+        np.testing.assert_array_equal(basis.lookup(basis.occupations), np.arange(basis.dim))
+        for occ, i in basis.index.items():
+            assert basis.lookup(np.array(occ)) == i
+        # a row inside the table but above the total cutoff is not a state
+        assert basis.lookup(np.full(n_modes, n_max)) == -1
+
+
 def test_basis_dim_closed_form():
     for n_max in (0, 1, 3, 7):
         assert fock_basis(2, n_max).dim == (n_max + 1) * (n_max + 2) // 2
@@ -43,6 +53,9 @@ def test_cutoff_rejects_bad_values():
         FockCutoff(-1)
     with pytest.raises(DomainError):
         FockCutoff(2.5)
+    for bad in (math.nan, math.inf, 1e160):
+        with pytest.raises(DomainError):
+            default_cutoff(bad)
 
 
 def test_default_cutoff_formula():
@@ -120,6 +133,9 @@ def test_cat_params_domain():
         CatParams(0.3, -0.1)
     with pytest.raises(DomainError):
         CatParams(0.3, math.pi + 0.1)
+    for bad in (math.nan, math.inf, 1e160):
+        with pytest.raises(DomainError):
+            CatParams(bad, 0.0)
 
 
 def test_input_state_mode_means():

@@ -9,11 +9,15 @@ import pytest
 from mzqfi import (
     CatParams,
     FockCutoff,
+    LossSpec,
     TailTooLarge,
+    TwoModeState,
     default_cutoff,
     eigensystem_2x2,
     input_state,
+    loss_channel,
     lossy_probe_density,
+    number_conserving_expm,
     probe_cutoff,
     probe_state,
     pure_density,
@@ -24,6 +28,7 @@ from mzqfi import (
     qfi_pure,
     reduced_density,
     schwinger_ops,
+    two_mode_basis,
 )
 
 OMEGA_67 = 6.0 * math.pi / 7.0
@@ -69,6 +74,20 @@ def test_full_transmission_pipeline_consistency():
     state = probe_state(alpha, phi, omega)
     via_jy = qfi_pure(state, schwinger_ops(state.cutoff).jy).value
     assert via_jz == pytest.approx(via_jy, abs=1e-9)
+
+
+def test_kraus_fan_out_matches_density_loss_channel():
+    # the per-arm branch fan-out against the dense Kraus sum on rho
+    for alpha, phi, omega in ((0.3, 0.0, 0.0), (0.5, 0.7, OMEGA_67), (0.8, -1.1, math.pi)):
+        for T in (0.0, 0.37, 1.0):
+            rho = lossy_probe_density(alpha, phi, omega, T)
+            cutoff = rho.cutoff
+            splitter = number_conserving_expm(two_mode_basis(cutoff),
+                                              schwinger_ops(cutoff).jx, math.pi / 2.0)
+            state = probe_state(alpha, phi, omega, cutoff)
+            pure = TwoModeState(splitter @ state.amplitudes, cutoff)
+            ref = loss_channel(pure_density(pure), LossSpec(T))
+            np.testing.assert_allclose(rho.matrix, ref.matrix, rtol=0, atol=1e-13)
 
 
 def test_numeric_matches_analytic_lossless():
