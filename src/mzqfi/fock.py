@@ -211,9 +211,12 @@ def two_mode_product(ca: np.ndarray, cb: np.ndarray, cutoff: FockCutoff) -> np.n
 def _renormalize(c: np.ndarray, tol_tail: float, what: str) -> tuple[np.ndarray, float]:
     """Read-only unit-norm copy of truncated amplitudes, plus the lost mass.
 
-    Raises TailTooLarge when the lost (tail) mass exceeds tol_tail.
+    Raises TailTooLarge when the lost (tail) mass exceeds tol_tail, and
+    DomainError when the amplitudes are not finite.
     """
     retained = float(np.vdot(c, c).real)
+    if not math.isfinite(retained):
+        raise DomainError(f"amplitudes are not finite ({what})")
     tail = max(0.0, 1.0 - retained)
     if tail > tol_tail:
         raise TailTooLarge(tail, tol_tail, what)

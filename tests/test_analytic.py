@@ -14,7 +14,6 @@ from mzqfi import (
     CatParams,
     DomainError,
     FockCutoff,
-    GeneratorChoice,
     branch_amplitudes,
     branch_jz_moments,
     cat_state,
@@ -28,10 +27,6 @@ from mzqfi import (
     qfi_lossless_max,
     qfi_lossless_max_in_n,
     qfi_lossy,
-    qfi_lossy_even,
-    qfi_lossy_max,
-    qfi_lossy_parts,
-    qfi_pure,
     reduced_density,
     schwinger_ops,
     total_photon_number,
@@ -63,17 +58,6 @@ def test_lossless_moments_match_fock_expectations():
     assert jy == pytest.approx(moments.jy_mean, abs=1e-10)
     assert a_sq == pytest.approx(moments.a_dag_sq.conjugate(), abs=1e-10)
     assert b_sq == pytest.approx(moments.b_sq, abs=1e-10)
-
-
-def test_lossless_qfi_matches_pure_variance():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        alpha = float(rng.uniform(0.05, 1.0))
-        phi = float(rng.uniform(-math.pi / 2.0, math.pi / 2.0))
-        omega = float(rng.uniform(0.0, math.pi * 0.99))
-        state = probe_state(alpha, phi, omega)
-        numeric = qfi_pure(state, GeneratorChoice("jy")).value
-        assert numeric == pytest.approx(qfi_lossless(alpha, phi, omega), abs=1e-8)
 
 
 def test_lossless_maximum_identities():
@@ -138,23 +122,6 @@ def test_lossy_zero_limits():
     assert qfi_lossy(0.0, 0.2, 1.0, 0.7) == 0.0
 
 
-def test_lossy_maximum_regrouping():
-    for alpha in (0.3, 0.8, 3.0):
-        for omega in (0.0, 1.0, OMEGA_67):
-            for T in (0.1, 0.5, 0.83):
-                direct = qfi_lossy(alpha, 0.0, omega, T)
-                assert qfi_lossy_max(alpha, omega, T) == pytest.approx(
-                    direct, rel=1e-12)
-
-
-def test_lossy_even_superposition_special_case():
-    for phi in np.linspace(-1.5, 1.5, 7):
-        for T in (0.1, 0.4, 0.83, 1.0):
-            direct = qfi_lossy(0.7, float(phi), 0.0, T)
-            assert qfi_lossy_even(0.7, float(phi), T) == pytest.approx(
-                direct, rel=1e-12, abs=1e-15)
-
-
 def test_lossy_qfi_is_even_in_phi():
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -199,18 +166,6 @@ def test_branch_moment_closed_forms():
     assert mom.jz2_ab == pytest.approx(-p_t * ta2**2 * math.sin(phi) ** 2,
                                        abs=1e-14)
     assert mom.overlap == pytest.approx(p_t, abs=1e-14)
-
-
-def test_parts_assembly_matches_closed_form():
-    rng = np.random.default_rng(31)
-    for _ in range(300):
-        alpha = float(rng.uniform(0.05, 3.0))
-        phi = float(rng.uniform(-math.pi / 2.0, math.pi / 2.0))
-        omega = float(rng.uniform(0.0, math.pi * 0.99))
-        T = float(rng.uniform(0.05, 1.0))
-        total = qfi_lossy_parts(alpha, phi, omega, T).total
-        direct = qfi_lossy(alpha, phi, omega, T)
-        assert total == pytest.approx(direct, rel=1e-12, abs=1e-13)
 
 
 def test_domain_guards():

