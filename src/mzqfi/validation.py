@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -167,12 +168,8 @@ def _random_loss_cases(seed: int, count: int, n_max: int, t_range):
     return cases
 
 
-def _kraus_vs_ancilla() -> float:
+def _kraus_ancilla_gap(cases) -> float:
     """Entrywise gap between the Kraus channel and the vacuum-ancilla realization."""
-    rng = np.random.default_rng(11)
-    cases = [(_random_state(fock.FockCutoff(5), rng), T) for T in (0.15, 0.5, 0.83)]
-    cases += _random_loss_cases(11, 3, 6, (0.1, 0.95))
-    cases += _random_loss_cases(99, 20, 6, (0.05, 0.98))
     worst = 0.0
     for state, T in cases:
         spec = channels.LossSpec(T)
@@ -180,6 +177,18 @@ def _kraus_vs_ancilla() -> float:
         worst = max(worst, _max_abs(kraus.matrix,
                                     channels.loss_channel_ancilla(state, spec).matrix))
     return worst
+
+
+def _kraus_vs_ancilla() -> float:
+    """Kraus-vs-ancilla gap at three fixed and three seeded transmissions."""
+    rng = np.random.default_rng(11)
+    cases = [(_random_state(fock.FockCutoff(5), rng), T) for T in (0.15, 0.5, 0.83)]
+    return _kraus_ancilla_gap(cases + _random_loss_cases(11, 3, 6, (0.1, 0.95)))
+
+
+def _kraus_vs_ancilla_bulk() -> float:
+    """Kraus-vs-ancilla gap on 20 seeded (state, T) pairs at n_max 6."""
+    return _kraus_ancilla_gap(_random_loss_cases(99, 20, 6, (0.05, 0.98)))
 
 
 def _coherent_attenuation() -> float:
@@ -216,11 +225,8 @@ def _tail_monotone() -> float:
 # closed forms against each other and against the Fock numerics
 # ---------------------------------------------------------------------------
 
-def _lossless_closed_form() -> float:
-    """|pure-probe Fock QFI - qfi_lossless| at fixed and seeded points."""
-    points = [(0.3, 0.0, 0.0), (0.3, 0.5, _OMEGA_67), (0.8, -0.4, 2.0)]
-    for seed, count in ((17, 10), (2024, 50)):
-        points += _uniform_points(seed, count, (0.05, 1.0), _PHI_RANGE, _OMEGA_RANGE)
+def _lossless_gap(points) -> float:
+    """|pure-probe Fock QFI - qfi_lossless| over (alpha, phi, omega) points."""
     worst = 0.0
     for alpha, phi, omega in points:
         state = simulate.probe_state(alpha, phi, omega)
@@ -229,10 +235,25 @@ def _lossless_closed_form() -> float:
     return worst
 
 
-def _assembly_identity() -> float:
-    """|three-part assembly - qfi_lossy| / max(0.1, |F|) at seeded points."""
+def _lossless_points(seed: int, count: int) -> list[tuple[float, ...]]:
+    return _uniform_points(seed, count, (0.05, 1.0), _PHI_RANGE, _OMEGA_RANGE)
+
+
+def _lossless_closed_form() -> float:
+    """Lossless closed-form gap at three fixed points and ten seeded ones."""
+    fixed = [(0.3, 0.0, 0.0), (0.3, 0.5, _OMEGA_67), (0.8, -0.4, 2.0)]
+    return _lossless_gap(fixed + _lossless_points(17, 10))
+
+
+def _lossless_closed_form_bulk() -> float:
+    """Lossless closed-form gap at 50 seeded points."""
+    return _lossless_gap(_lossless_points(2024, 50))
+
+
+def _assembly_identity(seeded) -> float:
+    """|three-part assembly - qfi_lossy| / max(0.1, |F|) at (seed, count) draws."""
     worst = 0.0
-    for seed, count in ((5, 200), (31, 300), (404, 1000)):
+    for seed, count in seeded:
         for alpha, phi, omega, T in _uniform_points(
                 seed, count, (0.05, 3.0), _PHI_RANGE, _OMEGA_RANGE, (0.05, 1.0)):
             total = analytic.qfi_lossy_parts(alpha, phi, omega, T).total
@@ -253,10 +274,10 @@ def _max_regrouping() -> float:
     return worst
 
 
-def _even_special_case() -> float:
-    """|qfi_lossy_even - qfi_lossy at omega = 0| / max(|F|, 1e-3)."""
+def _even_special_case(alphas) -> float:
+    """|qfi_lossy_even - qfi_lossy at omega = 0| / max(|F|, 1e-3) for each alpha."""
     worst = 0.0
-    for alpha in (0.3, 0.7, 0.9):
+    for alpha in alphas:
         for phi in np.linspace(-1.5, 1.5, 7):
             for T in (0.1, 0.3, 0.4, 0.5, 0.83, 1.0):
                 direct = analytic.qfi_lossy(alpha, float(phi), 0.0, T)
@@ -405,14 +426,22 @@ CHECKS: tuple[Check, ...] = (
     Check("mz_composite_identity", "fast", 1e-13, _mz_composite_identity),
     Check("kraus_completeness", "fast", 1e-13, _kraus_completeness),
     Check("loss_semigroup", "fast", 1e-12, _loss_semigroup),
-    Check("kraus_vs_ancilla", "fast", 1e-10, _kraus_vs_ancilla, acceptance=4),
+    Check("kraus_vs_ancilla", "fast", 1e-10, _kraus_vs_ancilla),
+    Check("kraus_vs_ancilla_bulk", "fast", 1e-10, _kraus_vs_ancilla_bulk, acceptance=4),
     Check("coherent_attenuation", "fast", 1e-10, _coherent_attenuation),
     Check("cat_parity", "fast", 0.0, _cat_parity),
     Check("tail_monotone", "fast", 0.0, _tail_monotone),
-    Check("lossless_closed_form", "fast", 1e-8, _lossless_closed_form, acceptance=3),
-    Check("assembly_identity", "fast", 1e-12, _assembly_identity, acceptance=7),
+    Check("lossless_closed_form", "fast", 1e-8, _lossless_closed_form),
+    Check("lossless_closed_form_bulk", "fast", 1e-8, _lossless_closed_form_bulk,
+          acceptance=3),
+    Check("assembly_identity", "fast", 1e-12,
+          partial(_assembly_identity, ((5, 200), (31, 300)))),
+    Check("assembly_identity_bulk", "fast", 1e-12,
+          partial(_assembly_identity, ((404, 1000),)), acceptance=7),
     Check("max_regrouping", "fast", 1e-12, _max_regrouping),
-    Check("even_special_case", "fast", 1e-12, _even_special_case, acceptance=4),
+    Check("even_special_case", "fast", 1e-12, partial(_even_special_case, (0.7,))),
+    Check("even_special_case_bulk", "fast", 1e-12,
+          partial(_even_special_case, (0.3, 0.9)), acceptance=4),
     Check("branch_moments", "fast", 1e-10, _branch_moments, acceptance=7),
     Check("mixed_pure_limit", "fast", 1e-10, _mixed_pure_limit),
     Check("generator_sign_invariance", "fast", 0.0, _generator_sign_invariance),

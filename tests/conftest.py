@@ -4,10 +4,16 @@ Tests marked ``acceptance(<id>)`` feed a summary section that prints one
 ``ACCEPTANCE <id>: PASS/FAIL`` line per criterion at the end of the run,
 regardless of output capture.  A criterion split across several tests
 passes only when all of them do.
+
+The ``assert_invariant`` fixture runs one entry of the invariant registry
+by name, for the tests that keep a name of their own outside
+``tests/test_validation.py``.
 """
 from __future__ import annotations
 
 import pytest
+
+from mzqfi.validation import CHECKS
 
 
 def pytest_configure(config):
@@ -15,6 +21,15 @@ def pytest_configure(config):
         "markers", "acceptance(id): part of the named acceptance criterion"
     )
     config._acceptance_results = {}
+
+
+@pytest.fixture
+def assert_invariant():
+    def run(name):
+        (check,) = [c for c in CHECKS if c.name == name]
+        result = check.judge(check.fn())
+        assert result.passed, result.detail
+    return run
 
 
 @pytest.hookimpl(hookwrapper=True)

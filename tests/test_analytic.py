@@ -60,6 +60,10 @@ def test_lossless_moments_match_fock_expectations():
     assert b_sq == pytest.approx(moments.b_sq, abs=1e-10)
 
 
+def test_lossless_qfi_matches_pure_variance(assert_invariant):
+    assert_invariant("lossless_closed_form")
+
+
 def test_lossless_maximum_identities():
     for alpha in (0.3, 0.8, 3.0):
         for omega in (0.0, 1.0, OMEGA_67):
@@ -122,6 +126,10 @@ def test_lossy_zero_limits():
     assert qfi_lossy(0.0, 0.2, 1.0, 0.7) == 0.0
 
 
+def test_lossy_even_superposition_special_case(assert_invariant):
+    assert_invariant("even_special_case")
+
+
 def test_lossy_qfi_is_even_in_phi():
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -166,6 +174,10 @@ def test_branch_moment_closed_forms():
     assert mom.jz2_ab == pytest.approx(-p_t * ta2**2 * math.sin(phi) ** 2,
                                        abs=1e-14)
     assert mom.overlap == pytest.approx(p_t, abs=1e-14)
+
+
+def test_parts_assembly_matches_closed_form(assert_invariant):
+    assert_invariant("assembly_identity")
 
 
 def test_domain_guards():

@@ -96,6 +96,10 @@ def test_loss_preserves_state_properties():
     assert out.purity() < 1.0
 
 
+def test_loss_matches_ancilla_realization(assert_invariant):
+    assert_invariant("kraus_vs_ancilla")
+
+
 def test_partial_trace_of_product_state():
     state = input_state(0.4, 0.0, CatParams(0.5, 1.3), FockCutoff(14))
     dm = pure_density(state)

@@ -2,13 +2,16 @@
 
 Each `CHECKS` entry is one test, named after the entry and marked with
 its acceptance criterion, if it has one.  The test calls the entry's
-function directly, so an exception fails with its traceback.
+function directly, so an exception fails with its traceback.  Entries in
+`_OWN_TESTS` run instead in a test of their own name, next to the unit
+or criterion they check, through the `assert_invariant` fixture.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +22,25 @@ from mzqfi.validation import CHECKS, Check, run_checks
 # Acceptance criterion 1 also bounds the run time of its grids.
 _TIME_BOUND_S = {"fig1_grid_agreement": 300.0}
 
+_OWN_TESTS = {
+    "kraus_vs_ancilla": "test_channels.py::test_loss_matches_ancilla_realization",
+    "kraus_vs_ancilla_bulk":
+        "test_acceptance.py::test_criterion_4c_kraus_equals_ancilla_realization",
+    "lossless_closed_form": "test_analytic.py::test_lossless_qfi_matches_pure_variance",
+    "lossless_closed_form_bulk":
+        "test_acceptance.py::test_criterion_3_lossless_closed_form_random_points",
+    "assembly_identity": "test_analytic.py::test_parts_assembly_matches_closed_form",
+    "assembly_identity_bulk": "test_acceptance.py::test_criterion_7_assembly_identity_bulk",
+    "even_special_case": "test_analytic.py::test_lossy_even_superposition_special_case",
+    "even_special_case_bulk":
+        "test_acceptance.py::test_criterion_4b_even_superposition_closed_form",
+}
+
 
 def _registry_params():
     for check in CHECKS:
+        if check.name in _OWN_TESTS:
+            continue
         marks = () if check.acceptance is None else pytest.mark.acceptance(check.acceptance)
         yield pytest.param(check, id=check.name, marks=marks)
 
@@ -37,6 +56,13 @@ def test_invariant(check):
 def test_registry_is_well_formed(monkeypatch):
     names = [check.name for check in CHECKS]
     assert len(set(names)) == len(names)
+    # every entry runs in some test: here, or in the test named in _OWN_TESTS
+    for name, test in _OWN_TESTS.items():
+        assert name in names
+        module, func = test.split("::")
+        source = (Path(__file__).parent / module).read_text()
+        assert f"def {func}(assert_invariant):" in source
+        assert f'assert_invariant("{name}")' in source
     for check in CHECKS:
         assert check.level in ("fast", "full")
         assert check.tol >= 0.0
