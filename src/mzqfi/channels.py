@@ -136,12 +136,22 @@ def loss_kraus_coefficients(n_max: int, T: float) -> np.ndarray:
     sum_k K_k^dag K_k = 1 exactly (binomial theorem row by row).
     """
     check_transmission(T)
-    R = 1.0 - T
-    coef = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            coef[k, n] = math.sqrt(math.comb(n, k) * R**k * T ** (n - k))
-    return coef
+    # Python float powers, so that each entry is the same float as
+    # math.sqrt(math.comb(n, k) * R**k * T**(n - k))
+    r_pow = np.array([(1.0 - T) ** j for j in range(n_max + 1)])
+    t_pow = np.array([T**j for j in range(n_max + 1)])
+    powers = np.arange(n_max + 1)
+    kept = np.maximum(powers[None, :] - powers[:, None], 0)   # n - k, 0 where k > n
+    return np.sqrt(_binomials(n_max) * r_pow[:, None] * t_pow[kept])
+
+
+@lru_cache(maxsize=None)
+def _binomials(n_max: int) -> np.ndarray:
+    """table[k, n] = binom(n, k) as floats, zero for k > n."""
+    table = np.array([[math.comb(n, k) for n in range(n_max + 1)]
+                      for k in range(n_max + 1)], dtype=float)
+    table.setflags(write=False)
+    return table
 
 
 def _kraus_maps(basis: FockBasis, mode: int, T: float):
@@ -173,12 +183,19 @@ def kraus_fan_out(branches: np.ndarray, basis: FockBasis, mode: int, T: float,
     contraction, fanning out one arm at a time and pruning after each arm
     keeps exactly the branches a joint fan-out would keep, in the same order.
     """
-    out = np.zeros((branches.shape[0], basis.n_max + 1, basis.dim), dtype=complex)
-    for k, (src, tgt, w) in enumerate(_kraus_maps(basis, mode, T)):
-        out[:, k, tgt] = branches[:, src] * w
-    out = out.reshape(-1, basis.dim)
-    pairs = out.view(float)
-    return out[np.einsum("ij,ij->i", pairs, pairs) >= prune]
+    maps = list(_kraus_maps(basis, mode, T))
+    # squared norm of every K_k branches[b], before any of them is formed
+    mass = branches.real**2 + branches.imag**2
+    norms = np.empty((len(branches), len(maps)))
+    for k, (src, _, w) in enumerate(maps):
+        norms[:, k] = mass[:, src] @ (w * w)
+    keep = np.flatnonzero(norms >= prune)   # row b * (n_max + 1) + k
+    parent, lost = np.divmod(keep, len(maps))
+    out = np.zeros((len(keep), basis.dim), dtype=complex)
+    for k, (src, tgt, w) in enumerate(maps):
+        rows = np.flatnonzero(lost == k)
+        out[rows[:, None], tgt] = branches[parent[rows][:, None], src] * w
+    return out
 
 
 def apply_loss(rho: np.ndarray, basis: FockBasis, mode: int, spec: LossSpec

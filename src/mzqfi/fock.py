@@ -30,6 +30,7 @@ from .errors import (
 
 EPS_TAIL = 1e-10   # default ceiling on truncation tail mass
 EPS_CAT = 1e-12    # cat normalization denominator below this is degenerate
+MAX_OPERATOR_BYTES = 2**29   # largest dense complex two-mode operator (512 MiB)
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,20 @@ def default_cutoff(alpha_scale: float) -> FockCutoff:
     if not math.isfinite(bound):
         raise DomainError(f"no finite Fock cutoff for amplitude {alpha_scale!r}")
     return FockCutoff(math.ceil(bound))
+
+
+def check_affordable(cutoff: FockCutoff) -> None:
+    """Raise DomainError when one dense two-mode operator at this cutoff
+    would take more than MAX_OPERATOR_BYTES; builds nothing."""
+    n = cutoff.n_max
+    dim = (n + 1) * (n + 2) // 2
+    size = 16 * dim * dim
+    if size > MAX_OPERATOR_BYTES:
+        raise DomainError(
+            f"n_max={n} gives two-mode dimension {dim}: one dense operator would "
+            f"take {size / 2**30:.3g} GiB, above the {MAX_OPERATOR_BYTES / 2**30:.3g} "
+            "GiB limit"
+        )
 
 
 class FockBasis:
@@ -313,20 +328,48 @@ class TwoModeState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Density operator on the truncated m-mode basis."""
+    """Density operator on the truncated m-mode basis.
 
-    matrix: np.ndarray
+    Held either as a dense matrix or, through `from_branches`, as a stack
+    of branch vectors: rho = sum_r |b_r><b_r| = branches.T @ branches.conj()
+    over the rows b_r.  A branch-backed density forms its dense `matrix` on
+    first access; `qfi_mixed` works on the branches without it.
+    """
+
+    _dense: np.ndarray | None
     cutoff: FockCutoff
     n_modes: int = 2
     tail_mass: float = 0.0
+    branches: np.ndarray | None = None
 
     def __post_init__(self):
-        basis = fock_basis(self.n_modes, self.cutoff.n_max)
-        if self.matrix.shape != (basis.dim, basis.dim):
+        if (self._dense is None) == (self.branches is None):
+            raise DimensionMismatch("give either a dense matrix or a branch stack")
+        dim = fock_basis(self.n_modes, self.cutoff.n_max).dim
+        if self._dense is not None:
+            held, what, shape = self._dense, "matrix", (dim, dim)
+        else:
+            held, what = self.branches, "branch stack"
+            shape = held.shape[:1] + (dim,)
+        if held.shape != shape:
             raise DimensionMismatch(
-                f"matrix shape {self.matrix.shape} does not fit basis dim {basis.dim}"
+                f"{what} shape {held.shape} does not fit basis dim {dim}"
             )
-        self.matrix.setflags(write=False)
+        held.setflags(write=False)
+
+    @classmethod
+    def from_branches(cls, branches: np.ndarray, cutoff: FockCutoff, n_modes: int = 2,
+                      tail_mass: float = 0.0) -> DensityMatrix:
+        return cls(None, cutoff, n_modes, tail_mass,
+                   np.ascontiguousarray(branches, dtype=complex))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._dense is None:
+            dense = self.branches.T @ self.branches.conj()
+            dense.setflags(write=False)
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
 
     @property
     def basis(self) -> FockBasis:

@@ -10,6 +10,10 @@ with the sum restricted to pairs whose combined weight p_i + p_j exceeds
 EPS_RANK; zero-weight pairs carry no information and would divide 0 by 0.
 The pair form avoids differentiating eigenvectors; the rearrangement from
 the derivative form is recorded in docs/formulas.md.
+
+A dense density is diagonalized in full.  A density held as a stack of
+branch vectors is solved on the small subspace its heaviest branches span,
+with the pairs reaching outside that subspace summed in closed form.
 """
 from __future__ import annotations
 
@@ -23,6 +27,8 @@ from .fock import DensityMatrix, FockCutoff, TwoModeState, schwinger_ops
 
 EPS_RANK = 1e-12     # pair weight below this is treated as rank deficient
 EIG_FLOOR = -1e-8    # eigenvalues below this mean the matrix is not a state
+RITZ_START = 4       # heaviest branches spanning the first Ritz subspace
+RITZ_TOL = 1e-20     # trace a certified Ritz subspace may leave out
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,12 @@ class GeneratorChoice:
         ops = schwinger_ops(cutoff)
         base = ops.jy if self.which == "jy" else ops.jz
         return base if self.sign == 1 else -base
+
+    def diagonal(self, cutoff: FockCutoff) -> np.ndarray | None:
+        """Diagonal of the generator if it is diagonal in the number basis (J_z)."""
+        if self.which != "jz":
+            return None
+        return self.sign * np.diagonal(schwinger_ops(cutoff).jz)
 
 
 def _resolve_generator(gen, cutoff: FockCutoff | None) -> np.ndarray:
@@ -95,12 +107,22 @@ class QfiResult:
     method: str            # "pure" or "spectral"
     tail_mass: float = 0.0
     rank: int | None = None
+    discarded_weight: float = 0.0   # trace of rho outside the eigensolved subspace
 
 
 def _as_matrix(rho) -> tuple[np.ndarray, float, FockCutoff | None]:
     if isinstance(rho, DensityMatrix):
         return rho.matrix, rho.tail_mass, rho.cutoff
     return np.asarray(rho, dtype=complex), 0.0, None
+
+
+def check_eps_rank(eps_rank: float) -> None:
+    """Raise DomainError unless eps_rank is finite and non-negative.
+
+    A negative threshold would admit pairs with p_i + p_j = 0, which give 0/0.
+    """
+    if not (math.isfinite(eps_rank) and eps_rank >= 0.0):
+        raise DomainError(f"eps_rank must be finite and non-negative, got {eps_rank!r}")
 
 
 def qfi_pure(state, generator) -> QfiResult:
@@ -120,8 +142,56 @@ def qfi_pure(state, generator) -> QfiResult:
     return QfiResult(4.0 * (second - mean * mean), "pure", tail_mass=tail, rank=1)
 
 
+def _pair_sum(p: np.ndarray, g_abs2: np.ndarray, eps_rank: float) -> float:
+    """2 sum (p_i - p_j)^2 / (p_i + p_j) |G_ij|^2 over pairs with p_i + p_j > eps_rank."""
+    s = p[:, None] + p[None, :]
+    d = p[:, None] - p[None, :]
+    coef = np.divide(d * d, s, out=np.zeros_like(s), where=s > eps_rank)
+    return 2.0 * float(np.sum(coef * g_abs2))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2
+
+
+def _ritz_pairs(branches: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rayleigh-Ritz pairs of rho = branches.T @ branches.conj() on the span
+    of its heaviest branches, and the trace of rho outside that span.
+
+    The span starts at the RITZ_START heaviest branches and doubles until
+    the weight it leaves out is at most RITZ_TOL; at the full stack it holds
+    the support of rho, so the Ritz pairs are its eigenpairs.  The weight is
+    the squared norm of the branches' residual outside the span, which does
+    not cancel the way Tr rho - Tr(Q^dag rho Q) does.
+    """
+    pairs = branches.view(float)
+    heaviest = np.argsort(-np.einsum("ij,ij->i", pairs, pairs), kind="stable")
+    k = RITZ_START
+    while True:
+        q, _ = np.linalg.qr(branches[heaviest[:k]].T)
+        c = branches @ q.conj()       # row r: coordinates of branch r in the span
+        residual = (branches - c @ q.T).view(float)
+        discarded = float(np.einsum("ij,ij->", residual, residual))
+        if discarded <= RITZ_TOL or k >= len(branches):
+            break
+        k *= 2
+    p, u = np.linalg.eigh(c.T @ c.conj())
+    p = np.clip(p[::-1], 0.0, None)
+    return p, q @ u[:, ::-1], discarded
+
+
 def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
-    """Spectral-sum QFI of a mixed probe under generator G."""
+    """Spectral-sum QFI of a mixed probe under generator G.
+
+    A dense density is diagonalized in full.  A branch-backed one
+    (`DensityMatrix.from_branches`) is solved on the Ritz subspace of its
+    branches: the pair sum over the Ritz pairs plus the exact complement
+    term 4 sum_{p_i > eps_rank} p_i (<i|G^2|i> - sum_{j in Ritz} |G_ij|^2)
+    (docs/formulas.md, "Factored spectral sum").
+    """
+    check_eps_rank(eps_rank)
+    if isinstance(rho, DensityMatrix) and rho.branches is not None:
+        return _qfi_factored(rho, generator, eps_rank)
     mat, tail, cutoff = _as_matrix(rho)
     gen = _resolve_generator(generator, cutoff)
     if gen.shape != mat.shape:
@@ -135,12 +205,31 @@ def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
         g_rot = (v.conj().T * diag) @ v
     else:
         g_rot = v.conj().T @ gen @ v
-    s = w[:, None] + w[None, :]
-    d = w[:, None] - w[None, :]
-    mask = s > eps_rank
-    coef = np.divide(d * d, s, out=np.zeros_like(s), where=mask)
-    value = 2.0 * float(np.sum(coef * (g_rot.real**2 + g_rot.imag**2)))
+    value = _pair_sum(w, _abs2(g_rot), eps_rank)
     return QfiResult(value, "spectral", tail_mass=tail, rank=dec.rank(eps_rank))
+
+
+def _qfi_factored(rho: DensityMatrix, generator, eps_rank: float) -> QfiResult:
+    p, w, discarded = _ritz_pairs(rho.branches)
+    diag = None
+    if isinstance(generator, GeneratorChoice):
+        diag = generator.diagonal(rho.cutoff)
+    if diag is not None:
+        gw = diag[:, None] * w
+    else:
+        gen = _resolve_generator(generator, rho.cutoff)
+        if gen.shape != (w.shape[0],) * 2:
+            raise DimensionMismatch(
+                f"generator shape {gen.shape} vs density dim {w.shape[0]}"
+            )
+        gw = gen @ w
+    g_abs2 = _abs2(w.conj().T @ gw)
+    complement = _abs2(gw).sum(axis=0) - g_abs2.sum(axis=1)
+    kept = p > eps_rank
+    value = (_pair_sum(p, g_abs2, eps_rank)
+             + 4.0 * float(np.sum(p[kept] * complement[kept])))
+    return QfiResult(value, "spectral", tail_mass=rho.tail_mass,
+                     rank=int(np.count_nonzero(kept)), discarded_weight=discarded)
 
 
 def qfi_unitary_invariance_check(rho, generator, unitary: np.ndarray) -> float:

@@ -4,9 +4,9 @@ Pipeline for the mixed probe: product input -> balanced splitter
 exp(i (pi/2) J_x) -> photon loss of transmittance T on both arms,
 realized as a Kraus fan-out of the pure state, arm A then arm B.  Each
 Kraus pair (k, l) (k photons lost from arm A, l from arm B) just shifts
-occupation numbers down and reweights, so every branch stays a vector and
-the density matrix is assembled once as a Gram matrix of the surviving
-branches.
+occupation numbers down and reweights, so every branch stays a vector.
+The density is kept as the stack of surviving branches and never formed:
+its QFI is solved on the span of the branches.
 
 The phase generator for the mixed probe is J_z (phase accumulates between
 the splitters); for the lossless case the probe stays pure and the QFI is
@@ -26,12 +26,20 @@ from .fock import (
     DensityMatrix,
     FockCutoff,
     TwoModeState,
+    check_affordable,
     default_cutoff,
     input_state,
     schwinger_ops,
     two_mode_basis,
 )
-from .qfi import EPS_RANK, QfiResult, qfi_mixed, qfi_pure
+from .qfi import (
+    EPS_RANK,
+    GeneratorChoice,
+    QfiResult,
+    check_eps_rank,
+    qfi_mixed,
+    qfi_pure,
+)
 
 PRUNE_NORM = 1e-30   # Kraus branches below this squared norm are dropped
 
@@ -42,6 +50,14 @@ def probe_cutoff(alpha: float) -> FockCutoff:
     The root-sum-square amplitude over both ports is sqrt(2) alpha.
     """
     return default_cutoff(math.sqrt(2.0) * alpha)
+
+
+def _affordable_cutoff(alpha: float, cutoff: FockCutoff | None) -> FockCutoff:
+    """`cutoff`, or the default for alpha, once check_affordable passes it."""
+    if cutoff is None:
+        cutoff = probe_cutoff(alpha)
+    check_affordable(cutoff)
+    return cutoff
 
 
 @lru_cache(maxsize=None)
@@ -59,8 +75,7 @@ def probe_state(
     tol_tail: float = EPS_TAIL,
 ) -> TwoModeState:
     """Product input |i alpha e^{i phi}> (x) cat(alpha, omega), truncated."""
-    if cutoff is None:
-        cutoff = probe_cutoff(alpha)
+    cutoff = _affordable_cutoff(alpha, cutoff)
     return input_state(alpha, phi, CatParams(alpha, omega), cutoff, tol_tail)
 
 
@@ -73,16 +88,15 @@ def lossy_probe_density(
     tol_tail: float = EPS_TAIL,
     prune: float = PRUNE_NORM,
 ) -> DensityMatrix:
-    """Mixed probe after the first splitter and per-arm loss."""
-    if cutoff is None:
-        cutoff = probe_cutoff(alpha)
+    """Mixed probe after the first splitter and per-arm loss, held as its
+    branch stack (one row per surviving Kraus pair)."""
     state = probe_state(alpha, phi, omega, cutoff, tol_tail)
-    psi = _first_splitter(cutoff.n_max) @ state.amplitudes
+    psi = _first_splitter(state.cutoff.n_max) @ state.amplitudes
     branches = psi[None, :]
     for mode in (0, 1):
         branches = kraus_fan_out(branches, state.basis, mode, transmission, prune)
-    rho = branches.T @ branches.conj()
-    return DensityMatrix(rho, cutoff, n_modes=2, tail_mass=state.tail_mass)
+    return DensityMatrix.from_branches(branches, state.cutoff,
+                                       tail_mass=state.tail_mass)
 
 
 def qfi_numeric(
@@ -95,10 +109,10 @@ def qfi_numeric(
     eps_rank: float = EPS_RANK,
 ) -> QfiResult:
     """Fock-basis QFI of the probe, pure route at T = 1, spectral otherwise."""
-    if cutoff is None:
-        cutoff = probe_cutoff(alpha)
+    check_eps_rank(eps_rank)
+    cutoff = _affordable_cutoff(alpha, cutoff)
     if transmission == 1.0:
         state = probe_state(alpha, phi, omega, cutoff, tol_tail)
         return qfi_pure(state, schwinger_ops(cutoff).jy)
     rho = lossy_probe_density(alpha, phi, omega, transmission, cutoff, tol_tail)
-    return qfi_mixed(rho, schwinger_ops(cutoff).jz, eps_rank=eps_rank)
+    return qfi_mixed(rho, GeneratorChoice("jz"), eps_rank=eps_rank)

@@ -13,6 +13,7 @@ release criterion of that number.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -365,6 +366,29 @@ def _rank_cutoff_stability() -> float:
                - qfi.qfi_mixed(rho, jz, eps_rank=1e-11).value)
 
 
+def _factored_vs_dense() -> float:
+    """Largest |qfi_numeric - dense oracle| / |F| of the lossy probe, n_max <= 24.
+
+    The production route solves the branch stack on its Ritz subspace; the
+    oracle diagonalizes the formed density in full.  A rank mismatch counts
+    as an infinite deviation.
+    """
+    worst = 0.0
+    for alpha in (0.05, 0.8, 1.5):
+        cutoff = fock.FockCutoff(min(simulate.probe_cutoff(alpha).n_max, 24))
+        jz = fock.schwinger_ops(cutoff).jz
+        for omega, T in itertools.product((0.0, 1.0, math.pi), (0.0, 0.37, 0.83)):
+            dense = simulate.lossy_probe_density(alpha, 0.3, omega, T, cutoff).matrix
+            for eps in (qfi.EPS_RANK, 0.4):
+                got = simulate.qfi_numeric(alpha, 0.3, omega, T, cutoff, eps_rank=eps)
+                ref = qfi.qfi_mixed(dense, jz, eps_rank=eps)
+                if got.rank != ref.rank:
+                    return math.inf
+                gap = abs(got.value - ref.value)
+                worst = max(worst, gap / abs(ref.value) if ref.value else gap)
+    return worst
+
+
 def _fidelity_cross_check() -> float:
     """|spectral QFI - Bures finite difference| / |F|."""
     worst = 0.0
@@ -447,6 +471,7 @@ CHECKS: tuple[Check, ...] = (
     Check("generator_sign_invariance", "fast", 0.0, _generator_sign_invariance),
     Check("unitary_invariance", "fast", 1e-9, _unitary_invariance),
     Check("rank_cutoff_stability", "fast", 1e-8, _rank_cutoff_stability),
+    Check("factored_vs_dense", "fast", 1e-12, _factored_vs_dense),
     Check("reduced_density_identities", "fast", 1e-12, _reduced_density_identities),
     Check("reduced_density_purity", "fast", 1e-10, _reduced_density_purity),
     Check("pmc_quick", "fast", 1e-4, _pmc_quick),

@@ -63,11 +63,25 @@ def test_domain_error_exit_code_and_message():
     (("--alpha", "1e160"), "alpha must be finite"),
     (("--alpha", "nan", "--method", "numeric"), "alpha must be finite"),
     (("--alpha", "1e160", "--method", "numeric"), "no finite Fock cutoff"),
+    (("--alpha", "0.3", "--T", "0.5", "--method", "numeric", "--tol-rank", "-1"),
+     "eps_rank must be finite and non-negative"),
 ])
 def test_eval_rejects_non_finite_values(args, message):
     proc = run_cli("eval", *args)
     assert proc.returncode == 2
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("--alpha", "30", "--T", "0.5"),
+    ("--alpha", "100", "--T", "1.0"),
+    ("--alpha", "0.3", "--T", "0.5", "--n-max", "200"),
+], ids=["default-30", "default-100", "explicit-200"])
+def test_eval_rejects_unaffordable_cutoffs(args):
+    proc = run_cli("eval", "--method", "numeric", *args)
+    assert proc.returncode == 2
+    assert "GiB limit" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from mzqfi import (
+    EPS_RANK,
     BeamSplitterSpec,
+    DensityMatrix,
     DimensionMismatch,
     DomainError,
     FockCutoff,
@@ -21,6 +23,7 @@ from mzqfi import (
     probe_state,
     pure_density,
     qfi_mixed,
+    qfi_numeric,
     qfi_pure,
     schwinger_ops,
     spectral_decomposition,
@@ -131,3 +134,56 @@ def test_eps_rank_controls_retained_spectrum():
     coarse = qfi_mixed(rho, jz, eps_rank=0.4)
     assert full.rank == 2
     assert coarse.rank == 1
+
+
+@pytest.mark.parametrize("eps_rank", [-1.0, -1e-300, math.nan, math.inf])
+def test_eps_rank_must_be_finite_and_non_negative(eps_rank):
+    # a negative threshold admits p_i + p_j = 0 pairs, which gave 0/0 = nan
+    factored = lossy_probe_density(0.3, 0.1, 1.0, 0.5)
+    jz = schwinger_ops(factored.cutoff).jz
+    for rho in (factored, factored.matrix):
+        with pytest.raises(DomainError, match="eps_rank must be finite and non-negative"):
+            qfi_mixed(rho, jz, eps_rank=eps_rank)
+    for T in (0.5, 1.0):
+        with pytest.raises(DomainError, match="eps_rank must be finite and non-negative"):
+            qfi_numeric(0.3, 0.1, 1.0, T, eps_rank=eps_rank)
+
+
+def test_factored_route_widens_to_a_rank_12_stack():
+    # 30 branches drawn from 12 directions: the 4 heaviest leave weight out,
+    # so the Ritz span doubles twice before its discarded weight certifies
+    rng = np.random.default_rng(12)
+    cutoff = FockCutoff(6)
+    dim = two_mode_basis(cutoff).dim
+    directions = rng.normal(size=(12, dim)) + 1j * rng.normal(size=(12, dim))
+    branches = (rng.normal(size=(30, 12)) * np.geomspace(1.0, 1e-3, 12)) @ directions
+    branches /= np.linalg.norm(branches)
+    rho = DensityMatrix.from_branches(branches, cutoff)
+    heaviest = branches[np.argsort(-np.linalg.norm(branches, axis=1))[:4]]
+    q, _ = np.linalg.qr(heaviest.T)
+    assert np.linalg.norm(branches - (branches @ q.conj()) @ q.T) ** 2 > 1e-3
+    dense = DensityMatrix(rho.matrix.copy(), cutoff)
+    for gen in (GeneratorChoice("jz"), GeneratorChoice("jy", -1), schwinger_ops(cutoff).jz):
+        for eps_rank in (EPS_RANK, 1e-3):
+            got = qfi_mixed(rho, gen, eps_rank=eps_rank)
+            ref = qfi_mixed(dense, gen, eps_rank=eps_rank)
+            assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+            assert got.rank == ref.rank
+            assert got.discarded_weight <= EPS_RANK
+            assert ref.discarded_weight == 0.0
+    assert qfi_mixed(rho, GeneratorChoice("jz")).rank == 12
+
+
+def test_branch_backed_density_checks_its_stack():
+    cutoff = FockCutoff(2)
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix.from_branches(np.ones((3, 5)), cutoff)
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix.from_branches(np.ones(6), cutoff)
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix(np.eye(6), cutoff, branches=np.ones((1, 6)))
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix(None, cutoff)
+    stack = np.arange(12.0).reshape(2, 6) + 1j
+    rho = DensityMatrix.from_branches(stack, cutoff)
+    np.testing.assert_array_equal(rho.matrix, stack.T @ stack.conj())

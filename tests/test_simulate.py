@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from mzqfi import (
     CatParams,
+    DomainError,
     FockCutoff,
     LossSpec,
     TailTooLarge,
@@ -30,6 +32,8 @@ from mzqfi import (
     schwinger_ops,
     two_mode_basis,
 )
+from mzqfi.fock import check_affordable
+from mzqfi.qfi import RITZ_TOL
 
 OMEGA_67 = 6.0 * math.pi / 7.0
 
@@ -115,3 +119,36 @@ def test_pure_density_of_probe_is_reported_pure():
     lossy = qfi_numeric(0.3, 0.0, 0.0, 0.9)
     assert lossy.method == "spectral"
     assert lossy.rank == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qfi_numeric(30.0, 0.0, 0.0, 0.5),
+    lambda: qfi_numeric(100.0, 0.0, 1.0, 1.0),
+    lambda: probe_state(30.0, 0.0, 0.0),
+    lambda: probe_state(100.0, 0.2, 1.0),
+    lambda: qfi_numeric(0.3, 0.0, 0.0, 0.5, FockCutoff(200)),
+    lambda: lossy_probe_density(0.3, 0.0, 0.0, 0.5, FockCutoff(4035)),
+], ids=["qfi_numeric-30", "qfi_numeric-100", "probe_state-30", "probe_state-100",
+        "explicit-200", "explicit-4035"])
+def test_unaffordable_cutoff_is_rejected_before_building(build):
+    # alpha = 30 asks for n_max 4035 (dim 8.1e6) and alpha = 100 for ~9e8
+    # states; the guard must fire before any basis or operator exists
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="GiB limit"):
+        build()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_default_cutoff_stays_affordable_up_to_alpha_3():
+    for alpha in (0.05, 1.5, 3.0):
+        check_affordable(probe_cutoff(alpha))
+    with pytest.raises(DomainError):
+        check_affordable(probe_cutoff(4.0))
+
+
+def test_lossy_density_is_held_as_its_branch_stack():
+    rho = lossy_probe_density(0.3, 0.1, 1.0, 0.5)
+    branches = rho.branches
+    assert branches.shape[1] == two_mode_basis(rho.cutoff).dim
+    np.testing.assert_array_equal(rho.matrix, branches.T @ branches.conj())
+    assert qfi_numeric(0.3, 0.1, 1.0, 0.5).discarded_weight <= RITZ_TOL
