@@ -38,6 +38,7 @@ from .fock import (
     two_mode_basis,
 )
 from .channels import (
+    PRUNE_NORM,
     BeamSplitterSpec,
     LossSpec,
     apply_loss,
@@ -92,7 +93,6 @@ from .analytic import (
     total_photon_number,
 )
 from .simulate import (
-    PRUNE_NORM,
     lossy_probe_density,
     probe_cutoff,
     probe_state,
@@ -145,7 +145,7 @@ __all__ = [
     "number_conserving_expm_apply", "pair_jx", "beam_splitter_unitary",
     "phase_shift_unitary", "mz_unitary", "loss_kraus_coefficients",
     "loss_kraus_operators", "apply_loss", "loss_channel", "partial_trace",
-    "loss_channel_ancilla",
+    "loss_channel_ancilla", "PRUNE_NORM",
     # qfi
     "EPS_RANK", "EIG_FLOOR", "GeneratorChoice", "SpectralDecomposition",
     "spectral_decomposition", "QfiResult", "qfi_pure", "qfi_mixed",
@@ -159,8 +159,7 @@ __all__ = [
     "qfi_lossy", "qfi_lossy_max", "qfi_lossy_even", "branch_amplitudes",
     "BranchMoments", "branch_jz_moments", "LossyQfiParts", "qfi_lossy_parts",
     # simulate
-    "PRUNE_NORM", "probe_cutoff", "probe_state", "lossy_probe_density",
-    "qfi_numeric",
+    "probe_cutoff", "probe_state", "lossy_probe_density", "qfi_numeric",
     # experiments
     "NUMERIC_ALPHA_MAX", "PHI_POINTS", "OMEGA_POINTS", "PHI_REFINE_TOL",
     "CSV_COLUMNS", "FIGURE_IDS", "default_phi_grid", "default_omega_grid",

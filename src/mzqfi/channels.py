@@ -26,6 +26,8 @@ from .fock import (
     two_mode_basis,
 )
 
+PRUNE_NORM = 1e-30   # Kraus branches below this squared norm are dropped
+
 
 def check_transmission(T: float) -> None:
     """Raise DomainError unless 0 <= T <= 1 (NaN included)."""
@@ -82,9 +84,14 @@ def number_conserving_expm(basis: FockBasis, herm: np.ndarray, scale: float = 1.
         )
     out = np.zeros_like(herm, dtype=complex)
     for blk in basis.block_slices:
-        w, v = np.linalg.eigh(herm[blk, blk])
-        out[blk, blk] = (v * np.exp(1j * scale * w)) @ v.conj().T
+        out[blk, blk] = hermitian_expm(herm[blk, blk], scale)
     return out
+
+
+def hermitian_expm(herm: np.ndarray, scale: float) -> np.ndarray:
+    """exp(1j * scale * herm) of one Hermitian block, by eigendecomposition."""
+    w, v = np.linalg.eigh(herm)
+    return (v * np.exp(1j * scale * w)) @ v.conj().T
 
 
 def number_conserving_expm_apply(basis: FockBasis, herm: np.ndarray, scale: float,
@@ -113,8 +120,7 @@ def beam_splitter_unitary(spec: BeamSplitterSpec, cutoff: FockCutoff,
 
 def phase_shift_unitary(theta: float, cutoff: FockCutoff) -> np.ndarray:
     """Differential phase exp(i theta J_z): diagonal e^{i theta (n_A-n_B)/2}."""
-    jz_diag = np.diag(schwinger_ops(cutoff).jz).real
-    return np.diag(np.exp(1j * theta * jz_diag))
+    return np.diag(np.exp(1j * theta * schwinger_ops(cutoff).jz_diagonal))
 
 
 def mz_unitary(theta: float, cutoff: FockCutoff) -> np.ndarray:
@@ -174,28 +180,33 @@ def loss_kraus_operators(basis: FockBasis, mode: int, spec: LossSpec
     return ops
 
 
-def kraus_fan_out(branches: np.ndarray, basis: FockBasis, mode: int, T: float,
-                  prune: float) -> np.ndarray:
-    """Loss on one mode applied to a stack of pure branch vectors.
+def loss_fan_out(psi: np.ndarray, basis: FockBasis, T: float) -> np.ndarray:
+    """Loss of transmission T on both arms of a pure two-mode vector, as the
+    stack of its Kraus branches K_k^A K_l^B psi.
 
-    Row b * (n_max + 1) + k of the result is K_k branches[b]; rows whose
-    squared norm is below `prune` are dropped.  Because every K_k is a
-    contraction, fanning out one arm at a time and pruning after each arm
-    keeps exactly the branches a joint fan-out would keep, in the same order.
+    The squared norm of every branch is read off |psi|^2 on the (n_A, n_B)
+    occupation grid before any branch is formed; branches below PRUNE_NORM
+    are dropped and the rest come in row-major (k, l) order, the order of a
+    fan-out over arm A then arm B.  The survivors are one gather from the
+    zero-padded grid, weighted by arm A, then by arm B.
     """
-    maps = list(_kraus_maps(basis, mode, T))
-    # squared norm of every K_k branches[b], before any of them is formed
-    mass = branches.real**2 + branches.imag**2
-    norms = np.empty((len(branches), len(maps)))
-    for k, (src, _, w) in enumerate(maps):
-        norms[:, k] = mass[:, src] @ (w * w)
-    keep = np.flatnonzero(norms >= prune)   # row b * (n_max + 1) + k
-    parent, lost = np.divmod(keep, len(maps))
-    out = np.zeros((len(keep), basis.dim), dtype=complex)
-    for k, (src, tgt, w) in enumerate(maps):
-        rows = np.flatnonzero(lost == k)
-        out[rows[:, None], tgt] = branches[parent[rows][:, None], src] * w
-    return out
+    n = basis.n_max
+    n_a, n_b = basis.occupations.T
+    width = 2 * n + 1
+    grid = np.zeros((width, width), dtype=complex)   # psi(n_A, n_B), 0 beyond n_max
+    grid[n_a, n_b] = psi
+    coef = loss_kraus_coefficients(n, T)
+    sq = coef * coef
+    held = grid[: n + 1, : n + 1]
+    norms = sq @ (held.real**2 + held.imag**2) @ sq.T   # norms[k, l]
+    k, l = np.divmod(np.flatnonzero(norms >= PRUNE_NORM), n + 1)
+    branches = np.take(grid, (k * width + l)[:, None] + (n_a * width + n_b))
+    # after[j, m] = coef[j, m + j]: the weight of K_j by the occupation it leaves
+    steps = np.arange(n + 1)
+    after = np.pad(coef, ((0, 0), (0, n)))[steps[:, None], steps + steps[:, None]]
+    branches *= after[:, n_a][k]
+    branches *= after[:, n_b][l]
+    return branches
 
 
 def apply_loss(rho: np.ndarray, basis: FockBasis, mode: int, spec: LossSpec

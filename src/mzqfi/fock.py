@@ -153,15 +153,26 @@ def lowering_map(basis: FockBasis, mode: int, k: int) -> tuple[np.ndarray, np.nd
     return shift_map(basis, tuple(-k if m == mode else 0 for m in range(basis.n_modes)))
 
 
-def hop_operator(basis: FockBasis, to_mode: int, from_mode: int) -> np.ndarray:
-    """Matrix of a_to^dagger a_from.  Number conserving, exact on the basis."""
-    occ = basis.occupations
-    if to_mode == from_mode:
-        return np.diag(occ[:, to_mode].astype(float)).astype(complex)
+@lru_cache(maxsize=None)
+def hop_map(basis: FockBasis, to_mode: int, from_mode: int
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, tgt, weights) of a_to^dagger a_from for two distinct modes:
+    a_to^dagger a_from |src> = weights |tgt>, from shift_map."""
     delta = tuple((m == to_mode) - (m == from_mode) for m in range(basis.n_modes))
     src, tgt = shift_map(basis, delta)
+    occ = basis.occupations
+    weights = np.sqrt((occ[src, from_mode] * (occ[src, to_mode] + 1)).astype(float))
+    weights.setflags(write=False)
+    return src, tgt, weights
+
+
+def hop_operator(basis: FockBasis, to_mode: int, from_mode: int) -> np.ndarray:
+    """Matrix of a_to^dagger a_from.  Number conserving, exact on the basis."""
+    if to_mode == from_mode:
+        return np.diag(basis.occupations[:, to_mode].astype(float)).astype(complex)
+    src, tgt, weights = hop_map(basis, to_mode, from_mode)
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    out[tgt, src] = np.sqrt((occ[src, from_mode] * (occ[src, to_mode] + 1)).astype(float))
+    out[tgt, src] = weights
     return out
 
 
@@ -180,28 +191,44 @@ class SchwingerOps:
 
     jx = (a^dag b + b^dag a)/2, jy = (a^dag b - b^dag a)/(2i),
     jz = (a^dag a - b^dag b)/2.  All block diagonal in total photon number.
+    Each dense matrix is built on first read; `jz_diagonal` is J_z's
+    diagonal, read from the occupations without a dense matrix.
     """
 
     cutoff: FockCutoff
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
 
-    def __post_init__(self):
-        for m in (self.jx, self.jy, self.jz):
-            m.setflags(write=False)
+    @property
+    def basis(self) -> FockBasis:
+        return two_mode_basis(self.cutoff)
+
+    @cached_property
+    def jz_diagonal(self) -> np.ndarray:
+        occ = self.basis.occupations
+        return _read_only(0.5 * (occ[:, 0] - occ[:, 1]).astype(float))
+
+    @cached_property
+    def jx(self) -> np.ndarray:
+        hop_ab = hop_operator(self.basis, 0, 1)   # a^dag b
+        return _read_only(0.5 * (hop_ab + hop_ab.conj().T))
+
+    @cached_property
+    def jy(self) -> np.ndarray:
+        hop_ab = hop_operator(self.basis, 0, 1)
+        return _read_only((hop_ab - hop_ab.conj().T) / 2j)
+
+    @cached_property
+    def jz(self) -> np.ndarray:
+        return _read_only(np.diag(self.jz_diagonal).astype(complex))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @lru_cache(maxsize=None)
 def _schwinger_cached(n_max: int) -> SchwingerOps:
-    basis = fock_basis(2, n_max)
-    hop_ab = hop_operator(basis, 0, 1)   # a^dag b
-    hop_ba = hop_ab.conj().T
-    jx = 0.5 * (hop_ab + hop_ba)
-    jy = (hop_ab - hop_ba) / 2j
-    occ = basis.occupations
-    jz = np.diag(0.5 * (occ[:, 0] - occ[:, 1]).astype(float)).astype(complex)
-    return SchwingerOps(FockCutoff(n_max), jx, jy, jz)
+    return SchwingerOps(FockCutoff(n_max))
 
 
 def schwinger_ops(cutoff: FockCutoff) -> SchwingerOps:
@@ -355,6 +382,8 @@ class DensityMatrix:
             raise DimensionMismatch(
                 f"{what} shape {held.shape} does not fit basis dim {dim}"
             )
+        if held.shape[0] == 0:
+            raise NotDensityMatrix("branch stack has no rows: the density would be 0")
         held.setflags(write=False)
 
     @classmethod

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotDensityMatrix
-from .fock import DensityMatrix, FockCutoff, TwoModeState, schwinger_ops
+from .fock import (
+    DensityMatrix,
+    FockCutoff,
+    TwoModeState,
+    hop_map,
+    schwinger_ops,
+    two_mode_basis,
+)
 
 EPS_RANK = 1e-12     # pair weight below this is treated as rank deficient
 EIG_FLOOR = -1e-8    # eigenvalues below this mean the matrix is not a state
@@ -57,7 +64,20 @@ class GeneratorChoice:
         """Diagonal of the generator if it is diagonal in the number basis (J_z)."""
         if self.which != "jz":
             return None
-        return self.sign * np.diagonal(schwinger_ops(cutoff).jz)
+        return self.sign * schwinger_ops(cutoff).jz_diagonal
+
+    def apply(self, cutoff: FockCutoff, vecs: np.ndarray) -> np.ndarray:
+        """G @ vecs without a dense G: J_z as the occupation diagonal, J_y
+        through the a^dag b shift map."""
+        diag = self.diagonal(cutoff)
+        if diag is not None:
+            return diag.reshape(diag.shape + (1,) * (vecs.ndim - 1)) * vecs
+        src, tgt, weights = hop_map(two_mode_basis(cutoff), 0, 1)   # a^dag b
+        weights = weights.reshape(weights.shape + (1,) * (vecs.ndim - 1))
+        out = np.zeros(vecs.shape, dtype=complex)
+        out[tgt] = weights * vecs[src]
+        out[src] -= weights * vecs[tgt]      # b^dag a = (a^dag b)^dag
+        return out * (self.sign / 2j)
 
 
 def _resolve_generator(gen, cutoff: FockCutoff | None) -> np.ndarray:
@@ -69,6 +89,17 @@ def _resolve_generator(gen, cutoff: FockCutoff | None) -> np.ndarray:
             )
         return gen.matrix(cutoff)
     return np.asarray(gen)
+
+
+def _apply_generator(gen, cutoff: FockCutoff | None, vecs: np.ndarray) -> np.ndarray:
+    """gen @ vecs; a GeneratorChoice on a state with a cutoff is applied
+    without forming its matrix."""
+    if isinstance(gen, GeneratorChoice) and cutoff is not None:
+        return gen.apply(cutoff, vecs)
+    mat = _resolve_generator(gen, cutoff)
+    if mat.shape != (vecs.shape[0],) * 2:
+        raise DimensionMismatch(f"generator shape {mat.shape} vs dim {vecs.shape[0]}")
+    return mat @ vecs
 
 
 @dataclass(frozen=True)
@@ -131,12 +162,7 @@ def qfi_pure(state, generator) -> QfiResult:
         vec, tail, cutoff = state.amplitudes, state.tail_mass, state.cutoff
     else:
         vec, tail, cutoff = np.asarray(state, dtype=complex), 0.0, None
-    gen = _resolve_generator(generator, cutoff)
-    if gen.shape != (vec.shape[0], vec.shape[0]):
-        raise DimensionMismatch(
-            f"generator shape {gen.shape} vs state dim {vec.shape[0]}"
-        )
-    gv = gen @ vec
+    gv = _apply_generator(generator, cutoff, vec)
     mean = np.vdot(vec, gv).real
     second = np.vdot(gv, gv).real
     return QfiResult(4.0 * (second - mean * mean), "pure", tail_mass=tail, rank=1)
@@ -170,8 +196,9 @@ def _ritz_pairs(branches: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     while True:
         q, _ = np.linalg.qr(branches[heaviest[:k]].T)
         c = branches @ q.conj()       # row r: coordinates of branch r in the span
-        residual = (branches - c @ q.T).view(float)
-        discarded = float(np.einsum("ij,ij->", residual, residual))
+        residual = c @ q.T
+        residual -= branches
+        discarded = float(np.vdot(residual, residual).real)
         if discarded <= RITZ_TOL or k >= len(branches):
             break
         k *= 2
@@ -211,18 +238,7 @@ def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
 
 def _qfi_factored(rho: DensityMatrix, generator, eps_rank: float) -> QfiResult:
     p, w, discarded = _ritz_pairs(rho.branches)
-    diag = None
-    if isinstance(generator, GeneratorChoice):
-        diag = generator.diagonal(rho.cutoff)
-    if diag is not None:
-        gw = diag[:, None] * w
-    else:
-        gen = _resolve_generator(generator, rho.cutoff)
-        if gen.shape != (w.shape[0],) * 2:
-            raise DimensionMismatch(
-                f"generator shape {gen.shape} vs density dim {w.shape[0]}"
-            )
-        gw = gen @ w
+    gw = _apply_generator(generator, rho.cutoff, w)
     g_abs2 = _abs2(w.conj().T @ gw)
     complement = _abs2(gw).sum(axis=0) - g_abs2.sum(axis=1)
     kept = p > eps_rank

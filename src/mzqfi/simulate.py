@@ -1,16 +1,17 @@
 """Truncated-Fock simulation of the lossy interferometer.
 
 Pipeline for the mixed probe: product input -> balanced splitter
-exp(i (pi/2) J_x) -> photon loss of transmittance T on both arms,
-realized as a Kraus fan-out of the pure state, arm A then arm B.  Each
-Kraus pair (k, l) (k photons lost from arm A, l from arm B) just shifts
-occupation numbers down and reweights, so every branch stays a vector.
-The density is kept as the stack of surviving branches and never formed:
-its QFI is solved on the span of the branches.
+exp(i (pi/2) J_x), applied block by block in total photon number ->
+photon loss of transmittance T on both arms, realized as a Kraus fan-out
+of the pure state.  Each Kraus pair (k, l) (k photons lost from arm A,
+l from arm B) just shifts occupation numbers down and reweights, so every
+branch stays a vector.  The density is kept as the stack of surviving
+branches and never formed: its QFI is solved on the span of the branches.
 
 The phase generator for the mixed probe is J_z (phase accumulates between
 the splitters); for the lossless case the probe stays pure and the QFI is
-evaluated directly on the input state with generator J_y.
+evaluated directly on the input state with generator J_y.  Both are
+applied from the occupations; no dense two-mode operator is built.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import kraus_fan_out, number_conserving_expm
+from .channels import hermitian_expm, loss_fan_out
 from .fock import (
     EPS_TAIL,
     CatParams,
@@ -28,9 +29,9 @@ from .fock import (
     TwoModeState,
     check_affordable,
     default_cutoff,
+    fock_basis,
+    hop_map,
     input_state,
-    schwinger_ops,
-    two_mode_basis,
 )
 from .qfi import (
     EPS_RANK,
@@ -40,8 +41,6 @@ from .qfi import (
     qfi_mixed,
     qfi_pure,
 )
-
-PRUNE_NORM = 1e-30   # Kraus branches below this squared norm are dropped
 
 
 def probe_cutoff(alpha: float) -> FockCutoff:
@@ -61,10 +60,27 @@ def _affordable_cutoff(alpha: float, cutoff: FockCutoff | None) -> FockCutoff:
 
 
 @lru_cache(maxsize=None)
-def _first_splitter(n_max: int) -> np.ndarray:
-    cutoff = FockCutoff(n_max)
-    ops = schwinger_ops(cutoff)
-    return number_conserving_expm(two_mode_basis(cutoff), ops.jx, math.pi / 2.0)
+def _first_splitter(n_max: int) -> tuple[np.ndarray, ...]:
+    """Blocks of exp(i (pi/2) J_x), one (N+1) x (N+1) unitary per total
+    photon number N, each from the block's tridiagonal J_x."""
+    basis = fock_basis(2, n_max)
+    src, tgt, weights = hop_map(basis, 0, 1)   # a^dag b, src in basis order
+    blocks = []
+    for blk in basis.block_slices:
+        lo, hi = np.searchsorted(src, (blk.start, blk.stop))
+        size = blk.stop - blk.start
+        hop = np.zeros((size, size), dtype=complex)
+        hop[tgt[lo:hi] - blk.start, src[lo:hi] - blk.start] = weights[lo:hi]
+        blocks.append(hermitian_expm(0.5 * (hop + hop.conj().T), math.pi / 2.0))
+    return tuple(blocks)
+
+
+def _split(state: TwoModeState) -> np.ndarray:
+    """The first splitter applied to the probe, block by block."""
+    amp = state.amplitudes
+    return np.concatenate([u @ amp[blk] for u, blk in
+                           zip(_first_splitter(state.cutoff.n_max),
+                               state.basis.block_slices)])
 
 
 def probe_state(
@@ -86,15 +102,11 @@ def lossy_probe_density(
     transmission: float,
     cutoff: FockCutoff | None = None,
     tol_tail: float = EPS_TAIL,
-    prune: float = PRUNE_NORM,
 ) -> DensityMatrix:
     """Mixed probe after the first splitter and per-arm loss, held as its
     branch stack (one row per surviving Kraus pair)."""
     state = probe_state(alpha, phi, omega, cutoff, tol_tail)
-    psi = _first_splitter(state.cutoff.n_max) @ state.amplitudes
-    branches = psi[None, :]
-    for mode in (0, 1):
-        branches = kraus_fan_out(branches, state.basis, mode, transmission, prune)
+    branches = loss_fan_out(_split(state), state.basis, transmission)
     return DensityMatrix.from_branches(branches, state.cutoff,
                                        tail_mass=state.tail_mass)
 
@@ -113,6 +125,6 @@ def qfi_numeric(
     cutoff = _affordable_cutoff(alpha, cutoff)
     if transmission == 1.0:
         state = probe_state(alpha, phi, omega, cutoff, tol_tail)
-        return qfi_pure(state, schwinger_ops(cutoff).jy)
+        return qfi_pure(state, GeneratorChoice("jy"))
     rho = lossy_probe_density(alpha, phi, omega, transmission, cutoff, tol_tail)
     return qfi_mixed(rho, GeneratorChoice("jz"), eps_rank=eps_rank)

@@ -12,6 +12,7 @@ from mzqfi import (
     DimensionMismatch,
     DomainError,
     FockCutoff,
+    SchwingerOps,
     TailTooLarge,
     TwoModeState,
     cat_state,
@@ -68,6 +69,16 @@ def test_default_cutoff_formula():
 def test_jz_is_diagonal_in_smallest_basis():
     ops = schwinger_ops(FockCutoff(1))
     np.testing.assert_allclose(ops.jz, np.diag([0.0, 0.5, -0.5]))
+
+
+def test_schwinger_ops_build_each_matrix_on_first_read():
+    ops = SchwingerOps(FockCutoff(6))
+    assert not {"jx", "jy", "jz"} & vars(ops).keys()
+    np.testing.assert_array_equal(ops.jz_diagonal, np.diagonal(ops.jz).real)
+    assert "jz" in vars(ops) and "jx" not in vars(ops)
+    hop_ab = hop_operator(ops.basis, 0, 1)
+    np.testing.assert_array_equal(ops.jx, 0.5 * (hop_ab + hop_ab.conj().T))
+    np.testing.assert_array_equal(ops.jy, (hop_ab - hop_ab.conj().T) / 2j)
 
 
 def test_hop_operator_matrix_element():

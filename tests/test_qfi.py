@@ -84,6 +84,19 @@ def test_generator_choice_validation():
                                -schwinger_ops(FockCutoff(2)).jz)
 
 
+def test_generator_choice_applies_its_matrix():
+    cutoff = FockCutoff(5)
+    dim = two_mode_basis(cutoff).dim
+    rng = np.random.default_rng(5)
+    vecs = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    for which in ("jy", "jz"):
+        for sign in (1, -1):
+            gen = GeneratorChoice(which, sign)
+            for x in (vecs, vecs[:, 0]):
+                np.testing.assert_allclose(gen.apply(cutoff, x), gen.matrix(cutoff) @ x,
+                                           rtol=0, atol=1e-14)
+
+
 def test_generator_choice_needs_cutoff_for_raw_arrays():
     basis = fock_basis(2, 3)
     rho = np.eye(basis.dim) / basis.dim
@@ -184,6 +197,8 @@ def test_branch_backed_density_checks_its_stack():
         DensityMatrix(np.eye(6), cutoff, branches=np.ones((1, 6)))
     with pytest.raises(DimensionMismatch):
         DensityMatrix(None, cutoff)
+    with pytest.raises(NotDensityMatrix):
+        DensityMatrix.from_branches(np.zeros((0, 6)), cutoff)
     stack = np.arange(12.0).reshape(2, 6) + 1j
     rho = DensityMatrix.from_branches(stack, cutoff)
     np.testing.assert_array_equal(rho.matrix, stack.T @ stack.conj())

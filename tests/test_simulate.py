@@ -7,7 +7,11 @@ import time
 import numpy as np
 import pytest
 
+import mzqfi.channels as channels
+import mzqfi.fock as fock
+import mzqfi.simulate as simulate
 from mzqfi import (
+    PRUNE_NORM,
     CatParams,
     DomainError,
     FockCutoff,
@@ -18,6 +22,7 @@ from mzqfi import (
     eigensystem_2x2,
     input_state,
     loss_channel,
+    loss_kraus_operators,
     lossy_probe_density,
     number_conserving_expm,
     probe_cutoff,
@@ -80,18 +85,70 @@ def test_full_transmission_pipeline_consistency():
     assert via_jz == pytest.approx(via_jy, abs=1e-9)
 
 
+def _dense_split(state: TwoModeState) -> np.ndarray:
+    cutoff = state.cutoff
+    splitter = number_conserving_expm(two_mode_basis(cutoff), schwinger_ops(cutoff).jx,
+                                      math.pi / 2.0)
+    return splitter @ state.amplitudes
+
+
 def test_kraus_fan_out_matches_density_loss_channel():
-    # the per-arm branch fan-out against the dense Kraus sum on rho
-    for alpha, phi, omega in ((0.3, 0.0, 0.0), (0.5, 0.7, OMEGA_67), (0.8, -1.1, math.pi)):
-        for T in (0.0, 0.37, 1.0):
-            rho = lossy_probe_density(alpha, phi, omega, T)
-            cutoff = rho.cutoff
-            splitter = number_conserving_expm(two_mode_basis(cutoff),
-                                              schwinger_ops(cutoff).jx, math.pi / 2.0)
-            state = probe_state(alpha, phi, omega, cutoff)
-            pure = TwoModeState(splitter @ state.amplitudes, cutoff)
-            ref = loss_channel(pure_density(pure), LossSpec(T))
-            np.testing.assert_allclose(rho.matrix, ref.matrix, rtol=0, atol=1e-13)
+    # the two-arm branch fan-out against the dense Kraus sum on rho
+    cases = [(alpha, phi, omega, T)
+             for alpha, phi, omega in ((0.3, 0.0, 0.0), (0.5, 0.7, OMEGA_67),
+                                       (0.8, -1.1, math.pi))
+             for T in (0.0, 0.37, 1.0)]
+    bright = (1.2, 0.4, 2.0, 0.1)   # default cutoff n_max 33: pruning drops rows
+    for alpha, phi, omega, T in cases + [bright]:
+        rho = lossy_probe_density(alpha, phi, omega, T)
+        pure = TwoModeState(_dense_split(probe_state(alpha, phi, omega, rho.cutoff)),
+                            rho.cutoff)
+        ref = loss_channel(pure_density(pure), LossSpec(T))
+        np.testing.assert_allclose(rho.matrix, ref.matrix, rtol=0, atol=1e-13)
+    # rows: K_k^A K_l^B psi of squared norm >= PRUNE_NORM, in (k, l) order;
+    # arm B's dense Kraus matrices are freed before arm A's are built
+    rho = lossy_probe_density(*bright)
+    basis, spec = rho.basis, LossSpec(bright[3])
+    psi = _dense_split(probe_state(*bright[:3], rho.cutoff))
+    arm_b = [K @ psi for K in loss_kraus_operators(basis, 1, spec)]
+    products = [K @ v for K in loss_kraus_operators(basis, 0, spec) for v in arm_b]
+    kept = [v for v in products if np.vdot(v, v).real >= PRUNE_NORM]
+    assert len(kept) < len(products)
+    assert rho.branches.shape == (len(kept), basis.dim)
+    np.testing.assert_allclose(rho.branches, np.array(kept), rtol=0, atol=1e-15)
+
+
+def test_first_splitter_blocks_match_the_dense_unitary():
+    cutoff = FockCutoff(9)
+    basis = two_mode_basis(cutoff)
+    dense = number_conserving_expm(basis, schwinger_ops(cutoff).jx, math.pi / 2.0)
+    for u, blk in zip(simulate._first_splitter(cutoff.n_max), basis.block_slices):
+        np.testing.assert_allclose(u, dense[blk, blk], rtol=0, atol=1e-15)
+    state = probe_state(0.3, 0.4, 2.0, cutoff)
+    np.testing.assert_allclose(simulate._split(state), dense @ state.amplitudes,
+                               rtol=0, atol=1e-15)
+
+
+def test_numeric_route_builds_no_dense_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the numeric route built a dense two-mode operator")
+
+    point, cutoff = (0.3, 0.4, 2.0), FockCutoff(18)
+    with monkeypatch.context() as m:
+        m.setattr(fock, "hop_operator", refuse)
+        m.setattr(channels, "hop_operator", refuse)
+        m.setattr(channels, "number_conserving_expm", refuse)
+        simulate._first_splitter.cache_clear()
+        fock._schwinger_cached.cache_clear()
+        got = {T: qfi_numeric(*point, T, cutoff).value for T in (0.0, 0.37, 1.0)}
+        rhos = {T: lossy_probe_density(*point, T, cutoff) for T in (0.0, 0.37)}
+        assert not {"jx", "jy", "jz"} & vars(schwinger_ops(cutoff)).keys()
+    ops = schwinger_ops(cutoff)
+    ref = {T: qfi_mixed(rho.matrix, ops.jz).value for T, rho in rhos.items()}
+    ref[1.0] = qfi_pure(probe_state(*point, cutoff).amplitudes, ops.jy).value
+    assert ref[0.0] == 0.0
+    for T, value in got.items():
+        assert value == pytest.approx(ref[T], rel=1e-12, abs=0.0)
 
 
 def test_numeric_matches_analytic_lossless():
