@@ -71,7 +71,9 @@ def _first_splitter(n_max: int) -> tuple[np.ndarray, ...]:
         size = blk.stop - blk.start
         hop = np.zeros((size, size), dtype=complex)
         hop[tgt[lo:hi] - blk.start, src[lo:hi] - blk.start] = weights[lo:hi]
-        blocks.append(hermitian_expm(0.5 * (hop + hop.conj().T), math.pi / 2.0))
+        u = hermitian_expm(0.5 * (hop + hop.conj().T), math.pi / 2.0)
+        u.setflags(write=False)
+        blocks.append(u)
     return tuple(blocks)
 
 
