@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,29 +71,55 @@ def lossless_moments(alpha: float, phi: float, omega: float) -> LosslessMoments:
     )
 
 
+class LosslessPhiCurve(NamedTuple):
+    """qfi_lossless at fixed (alpha, omega) as a function of phi.
+
+    F(phi) = base + k_cos2 cos(2 phi) - k_sin_sq sin^2(phi).  Calling the
+    curve keeps the floating-point order of the full expression, so
+    curve(phi) equals qfi_lossless(alpha, phi, omega) bit for bit.
+    """
+
+    base: float       # 2 n_a n_b + n_a + n_b
+    k_cos2: float     # 2 alpha^4
+    k_sin_sq: float   # 16 alpha^4 N2^2 E^2 sin^2(omega)
+    n_total: float    # n_a + n_b, as total_photon_number
+
+    def __call__(self, phi: float) -> float:
+        return (self.base + self.k_cos2 * math.cos(2.0 * phi)
+                - self.k_sin_sq * math.sin(phi) ** 2)
+
+
+def lossless_curve(alpha: float, omega: float) -> LosslessPhiCurve:
+    """The phi-independent coefficients of qfi_lossless, checked once."""
+    params = CatParams(alpha, omega)
+    a2 = alpha * alpha
+    E = math.exp(-2.0 * a2)
+    n2 = params.n_alpha_sq
+    n_b = 2.0 * n2 * a2 * (1.0 - E * math.cos(omega))
+    return LosslessPhiCurve(
+        base=2.0 * a2 * n_b + a2 + n_b,
+        k_cos2=2.0 * a2 * a2,
+        k_sin_sq=16.0 * a2 * a2 * n2 * n2 * E * E * math.sin(omega) ** 2,
+        n_total=_photon_number(alpha, n2),
+    )
+
+
 def qfi_lossless(alpha: float, phi: float, omega: float) -> float:
     """QFI of the lossless interferometer, generator J_y.
 
     F = 2 n_a n_b + n_a + n_b + 2 alpha^4 cos(2 phi)
         - 16 alpha^4 N2^2 E^2 sin^2(omega) sin^2(phi).
     """
-    m = lossless_moments(alpha, phi, omega)
-    a2 = alpha * alpha
-    E = math.exp(-2.0 * a2)
-    n2 = CatParams(alpha, omega).n_alpha_sq
-    return (
-        2.0 * m.n_a * m.n_b
-        + m.n_a
-        + m.n_b
-        + 2.0 * a2 * a2 * math.cos(2.0 * phi)
-        - 16.0 * a2 * a2 * n2 * n2 * E * E * math.sin(omega) ** 2 * math.sin(phi) ** 2
-    )
+    return lossless_curve(alpha, omega)(phi)
+
+
+def _photon_number(alpha: float, n_alpha_sq: float) -> float:
+    return 4.0 * alpha * alpha * n_alpha_sq
 
 
 def total_photon_number(alpha: float, omega: float) -> float:
     """n_a + n_b = 2 alpha^2 / (1 + E cos omega)."""
-    params = CatParams(alpha, omega)
-    return 4.0 * alpha * alpha * params.n_alpha_sq
+    return _photon_number(alpha, CatParams(alpha, omega).n_alpha_sq)
 
 
 def qfi_lossless_max(alpha: float, omega: float) -> float:
@@ -124,12 +151,16 @@ class LossyRho2x2:
     (their amplitudes depend on phi; the matrix entries do not),
     |A_perp> is |B> Gram-Schmidt-orthogonalized against |A>, and
     <A|B> = p_t.
+
+    `checked` takes the CatParams of a caller that has already validated
+    alpha, omega and the transmission; the checks then run only there.
     """
 
     alpha: float
     phi: float
     omega: float
     transmission: float
+    checked: InitVar[CatParams | None] = None
     eta: float = field(init=False)
     xi: float = field(init=False)
     tau_phase: float = field(init=False)
@@ -139,9 +170,10 @@ class LossyRho2x2:
     sigma_z_exp: float = field(init=False)
     n_alpha_sq: float = field(init=False)
 
-    def __post_init__(self):
-        check_transmission(self.transmission)
-        params = CatParams(self.alpha, self.omega)
+    def __post_init__(self, checked: CatParams | None):
+        if checked is None:
+            check_transmission(self.transmission)
+            checked = CatParams(self.alpha, self.omega)
         a2 = self.alpha * self.alpha
         T = self.transmission
         p_t = math.exp(-2.0 * a2 * T)
@@ -151,7 +183,7 @@ class LossyRho2x2:
             raise BasisDegenerate(
                 f"branch overlap p_t={p_t:.12g}: 1-p_t^2={q2:.3e} below {EPS_BASIS:.0e}"
             )
-        n2 = params.n_alpha_sq
+        n2 = checked.n_alpha_sq
         E = math.exp(-2.0 * a2)
         off = n2 * (p_r * cmath.exp(-1j * self.omega) + p_t) * math.sqrt(q2)
         object.__setattr__(self, "p_t", p_t)
@@ -246,6 +278,66 @@ def lossy_qfi_terms(rho2: LossyRho2x2) -> LossyQfiTerms:
     )
 
 
+class LossyPhiCurve(NamedTuple):
+    """qfi_lossy at fixed (alpha, omega, T) as a function of phi.
+
+    F(phi) = base + k4 cos^2(phi) w_cos - k4 sin^2(phi) (mu^2/Z) Z2
+             - k4 sin(2 phi) w_sin mu sin tau,
+    with k4 = 4 T^2 a^4.  Calling the curve keeps the floating-point order
+    of the full expression, so curve(phi) equals qfi_lossy bit for bit.
+    `dark` marks T = 0 or alpha = 0, where F = 0 at every phi.
+    """
+
+    base: float           # 2 T a^2 (X + 1) + 4 T^2 a^4 X
+    k4: float
+    w_cos: float          # Z + 2 mu sigma cos tau - (mu^2/Z) Z1
+    mu_sq_over_z: float
+    z2: float
+    w_sin: float          # sigma - mu cos tau, zero by stability identity 4
+    mu: float
+    sin_tau: float
+    n_total: float        # n_a + n_b, as total_photon_number
+    dark: bool = False
+
+    def __call__(self, phi: float) -> float:
+        if self.dark:
+            return 0.0
+        k4 = self.k4
+        cos_phi = math.cos(phi)
+        sin_phi = math.sin(phi)
+        return (
+            self.base
+            + k4 * cos_phi * cos_phi * self.w_cos
+            - k4 * sin_phi * sin_phi * self.mu_sq_over_z * self.z2
+            - k4 * math.sin(2.0 * phi) * self.w_sin * self.mu * self.sin_tau
+        )
+
+
+def lossy_curve(alpha: float, omega: float, transmission: float) -> LossyPhiCurve:
+    """The phi-independent coefficients of qfi_lossy, checked once."""
+    params = CatParams(alpha, omega)        # domain checks (alpha >= 0, omega window)
+    check_transmission(transmission)
+    n_total = _photon_number(alpha, params.n_alpha_sq)
+    if transmission == 0.0 or alpha == 0.0:
+        return LossyPhiCurve(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, n_total, dark=True)
+    rho2 = LossyRho2x2(alpha, 0.0, omega, transmission, params)
+    terms = lossy_qfi_terms(rho2)
+    ta2 = transmission * alpha * alpha
+    c = math.cos(rho2.tau_phase)
+    sigma = rho2.sigma_z_exp
+    return LossyPhiCurve(
+        base=2.0 * ta2 * (terms.x_term + 1.0) + 4.0 * ta2 * ta2 * terms.x_term,
+        k4=4.0 * ta2 * ta2,
+        w_cos=terms.z_term + 2.0 * terms.mu * sigma * c - terms.mu_sq_over_z * terms.z1,
+        mu_sq_over_z=terms.mu_sq_over_z,
+        z2=terms.z2,
+        w_sin=sigma - terms.mu * c,
+        mu=terms.mu,
+        sin_tau=math.sin(rho2.tau_phase),
+        n_total=n_total,
+    )
+
+
 def qfi_lossy(alpha: float, phi: float, omega: float, transmission: float) -> float:
     """Closed-form QFI with per-arm transmission T, generator J_z.
 
@@ -259,28 +351,7 @@ def qfi_lossy(alpha: float, phi: float, omega: float, transmission: float) -> fl
     sigma == mu cos tau; it is kept because it costs nothing and is why
     phi = 0 stays optimal under loss.
     """
-    CatParams(alpha, omega)        # domain checks (alpha >= 0, omega window)
-    check_transmission(transmission)
-    if transmission == 0.0 or alpha == 0.0:
-        return 0.0
-    rho2 = reduced_density(alpha, phi, omega, transmission)
-    terms = lossy_qfi_terms(rho2)
-    T = transmission
-    ta2 = T * alpha * alpha
-    c = math.cos(rho2.tau_phase)
-    s = math.sin(rho2.tau_phase)
-    sigma = rho2.sigma_z_exp
-    cos_phi = math.cos(phi)
-    sin_phi = math.sin(phi)
-    return (
-        2.0 * ta2 * (terms.x_term + 1.0)
-        + 4.0 * ta2 * ta2 * terms.x_term
-        + 4.0 * ta2 * ta2 * cos_phi * cos_phi
-        * (terms.z_term + 2.0 * terms.mu * sigma * c - terms.mu_sq_over_z * terms.z1)
-        - 4.0 * ta2 * ta2 * sin_phi * sin_phi * terms.mu_sq_over_z * terms.z2
-        - 4.0 * ta2 * ta2 * math.sin(2.0 * phi)
-        * (sigma - terms.mu * c) * terms.mu * s
-    )
+    return lossy_curve(alpha, omega, transmission)(phi)
 
 
 def qfi_lossy_max(alpha: float, omega: float, transmission: float) -> float:
@@ -290,11 +361,11 @@ def qfi_lossy_max(alpha: float, omega: float, transmission: float) -> float:
     + 4 T^2 a^4 (X + 2 mu sigma cos tau - (mu^2/Z) Z1); the regrouping
     against qfi_lossy(phi=0) is exact.
     """
-    CatParams(alpha, omega)
+    params = CatParams(alpha, omega)
     check_transmission(transmission)
     if transmission == 0.0 or alpha == 0.0:
         return 0.0
-    rho2 = reduced_density(alpha, 0.0, omega, transmission)
+    rho2 = LossyRho2x2(alpha, 0.0, omega, transmission, params)
     terms = lossy_qfi_terms(rho2)
     ta2 = transmission * alpha * alpha
     c = math.cos(rho2.tau_phase)
@@ -373,7 +444,10 @@ def branch_jz_moments(alpha: float, phi: float, transmission: float) -> BranchMo
     <A|Jz^2|B> = -p_t T^2 a^4 sin^2 phi; <A|B> = p_t = exp(-2 a^2 T).
     """
     check_transmission(transmission)
-    ta2 = transmission * alpha * alpha
+    return _branch_jz_moments(transmission * alpha * alpha, phi)
+
+
+def _branch_jz_moments(ta2: float, phi: float) -> BranchMoments:
     p_t = math.exp(-2.0 * ta2)
     jz_aa = ta2 * math.cos(phi)
     jz2_diag = 0.5 * ta2 + ta2 * ta2 * math.cos(phi) ** 2
@@ -417,11 +491,11 @@ def qfi_lossy_parts(alpha: float, phi: float, omega: float, transmission: float
     |lam_-> = (-v_- e^{i tau} - t v_+/q)|A> + (v_+/q)|B>,
     and every bracket reduces to the closed-form branch moments.
     """
-    CatParams(alpha, omega)
+    params = CatParams(alpha, omega)
     check_transmission(transmission)
-    rho2 = reduced_density(alpha, phi, omega, transmission)
+    rho2 = LossyRho2x2(alpha, phi, omega, transmission, params)
     eig = eigensystem_2x2(rho2)
-    mom = branch_jz_moments(alpha, phi, transmission)
+    mom = _branch_jz_moments(transmission * alpha * alpha, phi)
     t = rho2.p_t
     q2 = 1.0 - t * t
     q = math.sqrt(q2)

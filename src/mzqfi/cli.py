@@ -3,7 +3,7 @@
 Subcommands
 -----------
 eval      QFI at a single parameter point (analytic, numeric, or both)
-scan      phi sweep at fixed (alpha, omega, T) with a refined optimum
+scan      phi sweep at fixed (alpha, omega, T) with the harmonic optimum
 figure    full dataset behind one published-figure panel
 validate  internal consistency suites (fast or full)
 
@@ -176,6 +176,8 @@ def _cmd_scan(args) -> int:
           f"method={method} points={len(scan.records)}")
     _show("phi_m", scan.phi_m)
     _show("F_max", scan.f_max)
+    a, b, c = scan.harmonic
+    print(f"harmonic: a={a:.17g} b={b:.17g} c={c:.17g} residual={scan.residual:.3g}")
     if v["out"]:
         _write_records(v["out"], fmt, scan.records)
         print(f"wrote {len(scan.records)} records -> {v['out']}")
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_scan = sub.add_parser("scan", help="phi sweep with refined optimum")
+    p_scan = sub.add_parser("scan", help="phi sweep with the harmonic optimum")
     p_scan.add_argument("--alpha", type=float)
     p_scan.add_argument("--omega", type=float)
     p_scan.add_argument("--T", dest="T", type=float)

@@ -35,3 +35,7 @@ class NotDensityMatrix(MzqfiError):
 
 class BasisDegenerate(MzqfiError):
     """The two branch states coincide, so the 2D support basis is undefined."""
+
+
+class HarmonicMismatch(MzqfiError):
+    """A phi scan departs from the exact form a + b cos 2phi + c sin 2phi."""

@@ -17,13 +17,17 @@ import numpy as np
 
 from ._version import __version__
 from .analytic import (
+    LosslessPhiCurve,
+    LossyPhiCurve,
+    lossless_curve,
+    lossy_curve,
     qfi_lossless,
     qfi_lossy,
     qfi_lossy_max,
     total_photon_number,
 )
 from .channels import check_transmission
-from .errors import DomainError
+from .errors import DomainError, HarmonicMismatch
 from .fock import EPS_TAIL, FockCutoff
 from .qfi import EPS_RANK
 from .simulate import probe_cutoff, qfi_numeric
@@ -31,7 +35,7 @@ from .simulate import probe_cutoff, qfi_numeric
 NUMERIC_ALPHA_MAX = 1.5        # numeric path on by default only up to here
 PHI_POINTS = 201
 OMEGA_POINTS = 64
-PHI_REFINE_TOL = 1e-6          # golden-section window width, radians
+HARMONIC_RTOL = 1e-12          # worst scan residual of the cos 2phi fit, over max |F|
 CSV_COLUMNS = (
     "alpha", "phi", "omega", "T", "F_analytic", "F_numeric",
     "abs_err", "tail_mass", "N", "N_sq",
@@ -50,6 +54,19 @@ def default_omega_grid(points: int = OMEGA_POINTS) -> tuple[float, ...]:
     return tuple(i * math.pi / points for i in range(points))
 
 
+def _check_axis(name: str, axis) -> None:
+    if len(axis) == 0:
+        raise DomainError(f"{name} must be non-empty")
+    if any(b < a for a, b in zip(axis, axis[1:])):
+        raise DomainError(f"{name} must be sorted ascending")
+
+
+def _check_phi_window(phi_grid) -> None:
+    """A sorted phi grid lies in [-pi/2, pi/2)."""
+    if phi_grid[0] < -math.pi / 2.0 or phi_grid[-1] >= math.pi / 2.0:
+        raise DomainError("phi must lie in [-pi/2, pi/2)")
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Cartesian sweep of (alpha, omega, T, phi) with one evaluation method."""
@@ -66,14 +83,10 @@ class SweepGrid:
                            ("phi_grid", self.phi_grid),
                            ("omega_grid", self.omega_grid),
                            ("T_grid", self.T_grid)):
-            if len(axis) == 0:
-                raise DomainError(f"{name} must be non-empty")
-            if any(b < a for a, b in zip(axis, axis[1:])):
-                raise DomainError(f"{name} must be sorted ascending")
+            _check_axis(name, axis)
         if any(a < 0 for a in self.alpha_values):
             raise DomainError("alpha must be non-negative")
-        if self.phi_grid[0] < -math.pi / 2.0 or self.phi_grid[-1] >= math.pi / 2.0:
-            raise DomainError("phi must lie in [-pi/2, pi/2)")
+        _check_phi_window(self.phi_grid)
         if self.omega_grid[0] < 0.0 or self.omega_grid[-1] >= math.pi:
             raise DomainError("omega must lie in [0, pi)")
         check_transmission(self.T_grid[0])
@@ -114,6 +127,53 @@ def analytic_qfi(alpha: float, phi: float, omega: float, T: float) -> float:
     return qfi_lossy(alpha, phi, omega, T)
 
 
+def analytic_curve(alpha: float, omega: float, T: float
+                   ) -> LosslessPhiCurve | LossyPhiCurve:
+    """analytic_qfi at fixed (alpha, omega, T) as a callable of phi."""
+    if T == 1.0:
+        return lossless_curve(alpha, omega)
+    return lossy_curve(alpha, omega, T)
+
+
+class _PointEvaluator:
+    """evaluate_point at fixed (alpha, omega, T, method, n_max), one phi per call.
+
+    The input checks, the closed-form coefficients and the photon number
+    do not depend on phi, so they are done once per evaluator.
+    """
+
+    def __init__(self, alpha: float, omega: float, T: float, method: str,
+                 n_max: int | None):
+        if method not in _METHODS:
+            raise DomainError(f"method must be one of {_METHODS}")
+        self.alpha, self.omega, self.T = alpha, omega, T
+        self.run_numeric = method == "numeric" or (
+            method == "both" and alpha <= NUMERIC_ALPHA_MAX
+        )
+        self.curve = analytic_curve(alpha, omega, T) if method != "numeric" else None
+        self.cutoff = FockCutoff(n_max) if self.run_numeric and n_max is not None else None
+        self.n_total = (total_photon_number(alpha, omega) if self.curve is None
+                        else self.curve.n_total)
+
+    def __call__(self, phi: float) -> SweepRecord:
+        alpha, omega, T = self.alpha, self.omega, self.T
+        f_analytic = None if self.curve is None else self.curve(phi)
+        f_numeric = None
+        tail = None
+        if self.run_numeric:
+            res = qfi_numeric(alpha, phi, omega, T, self.cutoff)
+            f_numeric = res.value
+            tail = res.tail_mass
+        abs_err = (
+            abs(f_analytic - f_numeric)
+            if f_analytic is not None and f_numeric is not None
+            else None
+        )
+        n_total = self.n_total
+        return SweepRecord(alpha, phi, omega, T, f_analytic, f_numeric, abs_err,
+                           tail, n_total, n_total * n_total)
+
+
 def evaluate_point(
     alpha: float,
     phi: float,
@@ -122,27 +182,7 @@ def evaluate_point(
     method: str = "both",
     n_max: int | None = None,
 ) -> SweepRecord:
-    if method not in _METHODS:
-        raise DomainError(f"method must be one of {_METHODS}")
-    run_numeric = method == "numeric" or (
-        method == "both" and alpha <= NUMERIC_ALPHA_MAX
-    )
-    f_analytic = analytic_qfi(alpha, phi, omega, T) if method != "numeric" else None
-    f_numeric = None
-    tail = None
-    if run_numeric:
-        cutoff = FockCutoff(n_max) if n_max is not None else None
-        res = qfi_numeric(alpha, phi, omega, T, cutoff)
-        f_numeric = res.value
-        tail = res.tail_mass
-    abs_err = (
-        abs(f_analytic - f_numeric)
-        if f_analytic is not None and f_numeric is not None
-        else None
-    )
-    n_total = total_photon_number(alpha, omega)
-    return SweepRecord(alpha, phi, omega, T, f_analytic, f_numeric, abs_err,
-                       tail, n_total, n_total * n_total)
+    return _PointEvaluator(alpha, omega, T, method, n_max)(phi)
 
 
 def _evaluate_star(args) -> SweepRecord:
@@ -173,7 +213,7 @@ def run_grid(grid: SweepGrid, jobs: int | None = None) -> list[SweepRecord]:
         return list(pool.map(_evaluate_star, payload, chunksize=chunk))
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = PHI_REFINE_TOL) -> float:
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:
     """Argmax of a unimodal f on [lo, hi] to within tol."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -192,13 +232,30 @@ def golden_section_max(f, lo: float, hi: float, tol: float = PHI_REFINE_TOL) -> 
     return 0.5 * (a + b)
 
 
+def phi_harmonic(f) -> tuple[float, float, float]:
+    """(a, b, c) of f(phi) = a + b cos 2phi + c sin 2phi, from three phases.
+
+    f(0) = a + b, f(-pi/2) = a - b and f(-pi/4) = a - c.  Both QFI routes
+    have this form exactly (docs/formulas.md, "Phase matching").
+    """
+    f_0, f_90, f_45 = f(0.0), f(-math.pi / 2.0), f(-math.pi / 4.0)
+    a = 0.5 * (f_0 + f_90)
+    return a, 0.5 * (f_0 - f_90), a - f_45
+
+
 @dataclass(frozen=True)
 class PhiScan:
-    """QFI-vs-phi curve plus the refined optimum."""
+    """QFI-vs-phi curve, its cos 2phi harmonic and the optimum.
+
+    harmonic is (a, b, c) of F = a + b cos 2phi + c sin 2phi; residual is
+    the worst |F - fit| over the grid, relative to the largest |F| there.
+    """
 
     records: tuple[SweepRecord, ...]
     phi_m: float
     f_max: float
+    harmonic: tuple[float, float, float]
+    residual: float
 
 
 def scan_phi(
@@ -208,30 +265,42 @@ def scan_phi(
     phi_grid: tuple[float, ...] | None = None,
     method: str = "analytic",
     n_max: int | None = None,
-    refine_tol: float = PHI_REFINE_TOL,
 ) -> PhiScan:
-    """Sweep phi, then refine the coarse argmax by golden-section search."""
+    """Sweep phi, then take the optimum from the exact cos 2phi harmonic.
+
+    The phi-independent work is done once; each grid record still equals
+    evaluate_point at its phi.  phi_m = atan2(c, b) / 2 from the harmonic
+    of three phases (numeric values for method "numeric", closed form
+    otherwise).  The grid values check the fit: a worst residual above
+    HARMONIC_RTOL times max |F| raises HarmonicMismatch.
+    """
     if phi_grid is None:
         phi_grid = default_phi_grid()
-    records = [evaluate_point(alpha, p, omega, T, method=method, n_max=n_max)
-               for p in phi_grid]
+    _check_axis("phi_grid", phi_grid)
+    _check_phi_window(phi_grid)
+    point = _PointEvaluator(alpha, omega, T, method, n_max)
+    records = tuple(point(p) for p in phi_grid)
     if method == "numeric":
-        cutoff = FockCutoff(n_max) if n_max is not None else None
-
         def f(p: float) -> float:
-            return qfi_numeric(alpha, p, omega, T, cutoff).value
+            return qfi_numeric(alpha, p, omega, T, point.cutoff).value
 
-        values = [r.F_numeric for r in records]
+        values = np.array([r.F_numeric for r in records])
     else:
-        def f(p: float) -> float:
-            return analytic_qfi(alpha, p, omega, T)
-
-        values = [r.F_analytic for r in records]
-    i = int(np.argmax(values))
-    lo = phi_grid[max(i - 1, 0)]
-    hi = phi_grid[min(i + 1, len(phi_grid) - 1)]
-    phi_m = golden_section_max(f, lo, hi, refine_tol)
-    return PhiScan(tuple(records), phi_m, f(phi_m))
+        f = point.curve
+        values = np.array([r.F_analytic for r in records])
+    a, b, c = phi_harmonic(f)
+    two_phi = 2.0 * np.asarray(phi_grid, dtype=float)
+    worst = float(np.max(np.abs(values - (a + b * np.cos(two_phi) + c * np.sin(two_phi)))))
+    scale = float(np.max(np.abs(values)))
+    if not worst <= HARMONIC_RTOL * scale:   # written so that a NaN fails
+        raise HarmonicMismatch(
+            f"F(phi) at alpha={alpha!r}, omega={omega!r}, T={T!r} departs from "
+            f"a + b cos 2phi + c sin 2phi by {worst:.3e} (max |F| {scale:.3e}, "
+            f"tol {HARMONIC_RTOL:.0e} relative)")
+    phi_m = 0.5 * math.atan2(c, b)   # argmax of b cos 2phi + c sin 2phi
+    if phi_m >= math.pi / 2.0:
+        phi_m = -math.pi / 2.0
+    return PhiScan(records, phi_m, f(phi_m), (a, b, c), worst / scale if scale else 0.0)
 
 
 @dataclass(frozen=True)
@@ -247,8 +316,7 @@ def _meta(figure_id: str, grid_desc: dict, n_max: int | None, numeric: bool) -> 
         "version": __version__,
         "numeric": numeric,
         "n_max": n_max,
-        "tolerances": {"eps_rank": EPS_RANK, "eps_tail": EPS_TAIL,
-                       "phi_refine_tol": PHI_REFINE_TOL},
+        "tolerances": {"eps_rank": EPS_RANK, "eps_tail": EPS_TAIL},
         **grid_desc,
     }
 
@@ -259,7 +327,7 @@ def figure_dataset(figure_id: str, n_max: int | None = None,
 
     fig1a/fig1b: QFI vs phi at alpha = 0.3 for T = 0.1..1.0, with
     omega = 0 / 6 pi / 7, analytic and Fock-numeric columns.
-    fig1c: refined optimum phi_m vs omega at T = 0.83.
+    fig1c: optimum phi_m vs omega at T = 0.83, from the cos 2phi harmonic.
     fig2a/b/c: optimum QFI vs omega at alpha = 0.8 / 3 / 10 for
     T = 0.6..1.0, with total photon number N and N^2 reference columns
     (numeric only where the default-enabled alpha window allows).
@@ -292,7 +360,7 @@ def figure_dataset(figure_id: str, n_max: int | None = None,
                                           method="analytic"))
         meta = _meta(figure_id, {
             "alpha": 0.3, "T": 0.83, "omega_points": len(omegas),
-            "phi_column": "refined phi_m per omega",
+            "phi_column": "harmonic optimum phi_m per omega",
         }, None, False)
         return FigureDataset(figure_id, tuple(records), meta)
     alpha = {"fig2a": 0.8, "fig2b": 3.0, "fig2c": 10.0}[figure_id]

@@ -78,7 +78,7 @@ def _coherent_product(gamma_a: complex, gamma_b: complex, cutoff: fock.FockCutof
 
 
 def _max_phi_m(points) -> float:
-    """Largest refined |phi_m| of analytic phi scans at (alpha, omega, T) points."""
+    """Largest |phi_m| of analytic phi scans at (alpha, omega, T) points."""
     return max(abs(experiments.scan_phi(alpha, omega, T, method="analytic").phi_m)
                for alpha, omega, T in points)
 
@@ -405,6 +405,34 @@ def _fidelity_cross_check() -> float:
 # phase matching and the published-figure grids
 # ---------------------------------------------------------------------------
 
+def _numeric_curve(alpha: float, omega: float, T: float, cutoff: fock.FockCutoff):
+    return lambda phi: simulate.qfi_numeric(alpha, phi, omega, T, cutoff).value
+
+
+def _phi_harmonic() -> float:
+    """Worst held-out residual of the three-phase cos 2phi harmonic, over max |F|.
+
+    Both routes: the closed forms at (alpha, omega, T) points with T = 1
+    among them, and the Fock numerics at n_max 20.  The fit takes phases
+    0, -pi/4 and -pi/2; the residual is read at seven other phases.
+    """
+    held_out = (-1.4, -1.1, -0.6, -0.2, 0.3, 0.9, 1.5)
+    curves = [experiments.analytic_curve(alpha, omega, T) for alpha, omega, T in (
+        (0.3, 0.0, 0.83), (0.3, _OMEGA_67, 0.5), (0.8, 2.0, 0.1), (3.0, 1.0, 0.6),
+        (0.3, 2.0, 1.0), (3.0, _OMEGA_67, 1.0))]
+    curves += [_numeric_curve(alpha, omega, T, fock.FockCutoff(20))
+               for alpha, omega, T in ((0.3, _OMEGA_67, 0.83), (0.5, 1.0, 0.4),
+                                       (0.4, 2.0, 1.0))]
+    worst = 0.0
+    for f in curves:
+        a, b, c = experiments.phi_harmonic(f)
+        values = [f(phi) for phi in held_out]
+        fit = [a + b * math.cos(2.0 * phi) + c * math.sin(2.0 * phi) for phi in held_out]
+        scale = max(abs(v) for v in values)
+        worst = max(worst, max(abs(v - w) for v, w in zip(values, fit)) / scale)
+    return worst
+
+
 def _pmc_quick() -> float:
     """Largest |phi_m| at alpha 0.3, T 0.83 for two cat phases."""
     return _max_phi_m((0.3, omega, 0.83) for omega in (_OMEGA_67, 2.0))
@@ -474,6 +502,7 @@ CHECKS: tuple[Check, ...] = (
     Check("factored_vs_dense", "fast", 1e-12, _factored_vs_dense),
     Check("reduced_density_identities", "fast", 1e-12, _reduced_density_identities),
     Check("reduced_density_purity", "fast", 1e-10, _reduced_density_purity),
+    Check("phi_harmonic", "fast", 1e-12, _phi_harmonic),
     Check("pmc_quick", "fast", 1e-4, _pmc_quick),
     Check("fidelity_cross_check", "full", 1e-5, _fidelity_cross_check),
     Check("lossless_pmc_grid", "full", 1e-3, _lossless_pmc_grid, acceptance=2),

@@ -140,6 +140,13 @@ def test_scan_outputs_optimum(tmp_path):
     assert proc.returncode == 0
     assert "phi_m" in proc.stdout
     assert "F_max" in proc.stdout
+    (line,) = [ln for ln in proc.stdout.splitlines() if ln.startswith("harmonic:")]
+    fields = dict(item.split("=") for item in line.split()[1:])
+    assert list(fields) == ["a", "b", "c", "residual"]
+    a, b, c, residual = (float(v) for v in fields.values())
+    assert a > b > 0.0
+    assert abs(c) <= 1e-15 * a
+    assert residual <= 1e-12
     records, _ = read_records(str(out))
     assert len(records) == 201
 

@@ -1,8 +1,10 @@
 """Unit tests for sweeps, scans, figure datasets and serialization."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ import pytest
 from mzqfi import (
     CSV_COLUMNS,
     DomainError,
+    HarmonicMismatch,
     SweepGrid,
     compare_numeric_analytic,
     default_omega_grid,
     default_phi_grid,
     evaluate_point,
+    experiments,
     figure_dataset,
     golden_section_max,
     loss_sensitivity_report,
@@ -108,6 +112,82 @@ def test_scan_phi_finds_zero_optimum():
     scan = scan_phi(0.3, 2.0, 0.83, method="analytic")
     assert scan.f_max >= max(r.F_analytic for r in scan.records) - 1e-9
     assert len(scan.records) == 201
+    a, b, c = scan.harmonic
+    assert scan.f_max == pytest.approx(a + math.hypot(b, c), rel=1e-14)
+    assert scan.residual <= 1e-12
+
+
+def _bits(record):
+    return [repr(x) for x in dataclasses.astuple(record)]
+
+
+_SHORT_GRID = tuple(np.linspace(-1.5, 1.5, 9))
+
+
+@pytest.mark.parametrize("alpha, omega, T, method, phi_grid", [
+    (0.3, 2.0, 0.83, "analytic", None),
+    (0.8, 1.0, 1.0, "analytic", None),
+    (0.5, 1.0, 0.0, "analytic", None),
+    (0.0, 1.0, 0.5, "analytic", None),
+    (4.5, 2.5, 0.6, "analytic", None),
+    (0.3, 6.0 * math.pi / 7.0, 0.6, "both", _SHORT_GRID),
+    (0.3, 1.0, 1.0, "both", _SHORT_GRID),
+    (0.5, 0.1, 0.0, "both", _SHORT_GRID),
+    (0.0, 1.0, 0.5, "both", _SHORT_GRID),
+    (3.0, 1.0, 0.7, "both", None),
+])
+def test_scan_records_equal_evaluate_point(alpha, omega, T, method, phi_grid):
+    scan = scan_phi(alpha, omega, T, phi_grid=phi_grid, method=method, n_max=12)
+    grid = default_phi_grid() if phi_grid is None else phi_grid
+    assert len(scan.records) == len(grid)
+    for phi, rec in zip(grid, scan.records):
+        assert _bits(rec) == _bits(evaluate_point(alpha, phi, omega, T, method=method,
+                                                  n_max=12))
+
+
+@pytest.mark.parametrize("phi_grid", [(), (0.5, -0.2, 1.0), (-1.6, 0.0), (0.0, math.pi / 2.0)])
+def test_scan_phi_rejects_bad_grid(phi_grid):
+    with pytest.raises(DomainError, match="phi"):
+        scan_phi(0.3, 2.0, 0.83, phi_grid=phi_grid)
+
+
+@pytest.mark.parametrize("alpha, omega, T", [(4.0, 0.5, 0.6), (4.0, 2.0, 0.6), (4.2, 1.0, 0.6)])
+def test_scan_phi_on_nearly_flat_curves(alpha, omega, T):
+    # F(phi) varies here by 6e-12 to 7e-11 of its mean; a golden-section
+    # refinement of the grid argmax returned |phi_m| of 1.1e-3 to 3.3e-3.
+    scan = scan_phi(alpha, omega, T)
+    a, b, _ = scan.harmonic
+    assert b / a >= 1e-12
+    assert abs(scan.phi_m) < 1e-3
+
+
+def test_numeric_scan_matches_analytic_optimum(monkeypatch):
+    calls = []
+    qfi_numeric = experiments.qfi_numeric
+
+    def counted(*args):
+        calls.append(args[1])
+        return qfi_numeric(*args)
+
+    monkeypatch.setattr(experiments, "qfi_numeric", counted)
+    omega = 6.0 * math.pi / 7.0
+    numeric = scan_phi(0.3, omega, 0.83, method="numeric", n_max=16)
+    analytic = scan_phi(0.3, omega, 0.83)
+    # 201 grid phases, the three harmonic phases and F(phi_m)
+    assert len(calls) == 205
+    assert abs(numeric.phi_m - analytic.phi_m) <= 1e-9
+    assert numeric.f_max == pytest.approx(analytic.f_max, rel=1e-12)
+    assert numeric.residual <= 1e-12
+
+
+def test_scan_phi_rejects_non_harmonic_curve(monkeypatch):
+    def fake(alpha, phi, omega, T, cutoff):
+        return SimpleNamespace(value=1.0 + 0.5 * math.cos(2.0 * phi) + 1e-6 * math.cos(4.0 * phi),
+                               tail_mass=0.0)
+
+    monkeypatch.setattr(experiments, "qfi_numeric", fake)
+    with pytest.raises(HarmonicMismatch, match="departs from"):
+        scan_phi(0.3, 2.0, 0.83, method="numeric", n_max=12)
 
 
 def test_figure_dataset_rejects_unknown_id():
