@@ -145,7 +145,8 @@ def test_scan_records_equal_evaluate_point(alpha, omega, T, method, phi_grid):
                                                   n_max=12))
 
 
-@pytest.mark.parametrize("phi_grid", [(), (0.5, -0.2, 1.0), (-1.6, 0.0), (0.0, math.pi / 2.0)])
+@pytest.mark.parametrize("phi_grid",
+                         [(), (0.5, -0.2, 1.0), (-1.6, 0.0), (0.0, math.pi / 2.0)])
 def test_scan_phi_rejects_bad_grid(phi_grid):
     with pytest.raises(DomainError, match="phi"):
         scan_phi(0.3, 2.0, 0.83, phi_grid=phi_grid)
@@ -153,8 +154,8 @@ def test_scan_phi_rejects_bad_grid(phi_grid):
 
 @pytest.mark.parametrize("alpha, omega, T", [(4.0, 0.5, 0.6), (4.0, 2.0, 0.6), (4.2, 1.0, 0.6)])
 def test_scan_phi_on_nearly_flat_curves(alpha, omega, T):
-    # F(phi) varies here by 6e-12 to 7e-11 of its mean; a golden-section
-    # refinement of the grid argmax returned |phi_m| of 1.1e-3 to 3.3e-3.
+    # b/a is 5.9e-12 to 7.3e-11 here: F is flat to ~1e-10 of its mean,
+    # below what a search around the grid argmax resolves to 1e-3.
     scan = scan_phi(alpha, omega, T)
     a, b, _ = scan.harmonic
     assert b / a >= 1e-12
@@ -182,8 +183,9 @@ def test_numeric_scan_matches_analytic_optimum(monkeypatch):
 
 def test_scan_phi_rejects_non_harmonic_curve(monkeypatch):
     def fake(alpha, phi, omega, T, cutoff):
-        return SimpleNamespace(value=1.0 + 0.5 * math.cos(2.0 * phi) + 1e-6 * math.cos(4.0 * phi),
-                               tail_mass=0.0)
+        # a cos 4phi term no QFI curve has
+        value = 1.0 + 0.5 * math.cos(2.0 * phi) + 1e-6 * math.cos(4.0 * phi)
+        return SimpleNamespace(value=value, tail_mass=0.0)
 
     monkeypatch.setattr(experiments, "qfi_numeric", fake)
     with pytest.raises(HarmonicMismatch, match="departs from"):
