@@ -5,10 +5,15 @@ superposition; the package computes the interferometric QFI of that
 probe with and without photon loss, by closed-form expressions and by
 truncated-Fock numerics, and ships the sweep/figure machinery plus a
 self-validation suite behind the ``mzqfi`` command line tool.
+
+The names imported here are the public API.  Everything else, the
+tolerance constants and result record types included, stays reachable
+through its module (``mzqfi.analytic.EPS_GAP``).
 """
+import types as _types
+
 from ._version import __version__
 from .errors import (
-    BasisDegenerate,
     DegenerateCat,
     DimensionMismatch,
     DomainError,
@@ -18,11 +23,8 @@ from .errors import (
     TailTooLarge,
 )
 from .fock import (
-    EPS_CAT,
-    EPS_TAIL,
     CatParams,
     DensityMatrix,
-    FockBasis,
     FockCutoff,
     SchwingerOps,
     TwoModeState,
@@ -42,59 +44,34 @@ from .channels import (
     PRUNE_NORM,
     BeamSplitterSpec,
     LossSpec,
-    apply_loss,
     beam_splitter_unitary,
     loss_channel,
-    loss_channel_ancilla,
     loss_kraus_coefficients,
     loss_kraus_operators,
-    mz_unitary,
     number_conserving_expm,
-    number_conserving_expm_apply,
-    pair_jx,
     partial_trace,
     phase_shift_unitary,
 )
 from .qfi import (
-    EIG_FLOOR,
     EPS_RANK,
     GeneratorChoice,
     QfiResult,
-    SpectralDecomposition,
-    qfi_fidelity_estimate,
     qfi_mixed,
     qfi_pure,
-    qfi_unitary_invariance_check,
     spectral_decomposition,
     uhlmann_fidelity,
 )
 from .analytic import (
-    EPS_BASIS,
-    EPS_GAP,
-    EPS_Z,
-    BranchMoments,
-    Eigensystem2x2,
-    LosslessMoments,
-    LosslessPhiCurve,
-    LossyPhiCurve,
-    LossyQfiParts,
-    LossyQfiTerms,
     LossyRho2x2,
     branch_amplitudes,
     branch_jz_moments,
     eigensystem_2x2,
-    lossless_curve,
     lossless_moments,
-    lossy_curve,
-    lossy_qfi_terms,
     qfi_lossless,
-    qfi_lossless_max,
     qfi_lossless_max_in_n,
     qfi_lossy,
-    qfi_lossy_even,
     qfi_lossy_max,
     qfi_lossy_parts,
-    reduced_density,
     total_photon_number,
 )
 from .simulate import (
@@ -105,20 +82,7 @@ from .simulate import (
 )
 from .experiments import (
     CSV_COLUMNS,
-    FIGURE_IDS,
-    HARMONIC_RTOL,
-    NUMERIC_ALPHA_MAX,
-    OMEGA_POINTS,
-    PHI_POINTS,
-    ComparisonReport,
-    FigureDataset,
-    LossSensitivityReport,
-    LossSensitivityRow,
-    PhiScan,
     SweepGrid,
-    SweepRecord,
-    analytic_curve,
-    analytic_qfi,
     compare_numeric_analytic,
     default_omega_grid,
     default_phi_grid,
@@ -126,7 +90,6 @@ from .experiments import (
     figure_dataset,
     golden_section_max,
     loss_sensitivity_report,
-    phi_harmonic,
     read_records,
     resolve_jobs,
     run_grid,
@@ -134,49 +97,10 @@ from .experiments import (
     write_records_csv,
     write_records_json,
 )
-from .validation import CheckResult, all_passed, run_checks
+from .validation import run_checks
 
-__all__ = [
-    "__version__",
-    # errors
-    "MzqfiError", "DomainError", "TailTooLarge", "DegenerateCat",
-    "DimensionMismatch", "NotDensityMatrix", "BasisDegenerate", "HarmonicMismatch",
-    # fock
-    "EPS_TAIL", "EPS_CAT", "FockCutoff", "default_cutoff", "FockBasis",
-    "fock_basis", "two_mode_basis", "hop_operator", "lowering_power",
-    "SchwingerOps", "schwinger_ops", "coherent_amplitudes", "CatParams",
-    "cat_state", "TwoModeState", "DensityMatrix", "pure_density",
-    "input_state", "expectation",
-    # channels
-    "BeamSplitterSpec", "LossSpec", "number_conserving_expm",
-    "number_conserving_expm_apply", "pair_jx", "beam_splitter_unitary",
-    "phase_shift_unitary", "mz_unitary", "loss_kraus_coefficients",
-    "loss_kraus_operators", "apply_loss", "loss_channel", "partial_trace",
-    "loss_channel_ancilla", "PRUNE_NORM",
-    # qfi
-    "EPS_RANK", "EIG_FLOOR", "GeneratorChoice", "SpectralDecomposition",
-    "spectral_decomposition", "QfiResult", "qfi_pure", "qfi_mixed",
-    "qfi_unitary_invariance_check", "uhlmann_fidelity",
-    "qfi_fidelity_estimate",
-    # analytic
-    "EPS_BASIS", "EPS_GAP", "EPS_Z", "LosslessMoments", "lossless_moments",
-    "LosslessPhiCurve", "lossless_curve", "qfi_lossless",
-    "total_photon_number", "qfi_lossless_max", "qfi_lossless_max_in_n",
-    "LossyRho2x2", "reduced_density", "Eigensystem2x2", "eigensystem_2x2",
-    "LossyQfiTerms", "lossy_qfi_terms", "LossyPhiCurve", "lossy_curve",
-    "qfi_lossy", "qfi_lossy_max", "qfi_lossy_even", "branch_amplitudes",
-    "BranchMoments", "branch_jz_moments", "LossyQfiParts", "qfi_lossy_parts",
-    # simulate
-    "probe_cutoff", "probe_state", "lossy_probe_density", "qfi_numeric",
-    # experiments
-    "NUMERIC_ALPHA_MAX", "PHI_POINTS", "OMEGA_POINTS", "HARMONIC_RTOL",
-    "CSV_COLUMNS", "FIGURE_IDS", "default_phi_grid", "default_omega_grid",
-    "SweepGrid", "SweepRecord", "analytic_qfi", "analytic_curve",
-    "evaluate_point", "resolve_jobs", "run_grid", "golden_section_max",
-    "phi_harmonic", "PhiScan", "scan_phi", "FigureDataset", "figure_dataset",
-    "ComparisonReport", "compare_numeric_analytic", "LossSensitivityRow",
-    "LossSensitivityReport", "loss_sensitivity_report", "write_records_csv",
-    "write_records_json", "read_records",
-    # validation
-    "CheckResult", "run_checks", "all_passed",
-]
+# every name imported above; the submodules are attributes, not API
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

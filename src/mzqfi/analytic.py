@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import check_transmission
 from .errors import BasisDegenerate
-from .fock import CatParams
+from .fock import CatParams, check_phi
 
 EPS_BASIS = 1e-12   # 1 - p_t^2 below this: branches coincide, 2x2 basis gone
 EPS_GAP = 1e-12     # squared eigenvalue gap below this: spectrum degenerate
@@ -56,6 +56,7 @@ class LosslessMoments:
 
 
 def lossless_moments(alpha: float, phi: float, omega: float) -> LosslessMoments:
+    check_phi(phi)
     params = CatParams(alpha, omega)
     a2 = alpha * alpha
     E = math.exp(-2.0 * a2)
@@ -110,6 +111,7 @@ def qfi_lossless(alpha: float, phi: float, omega: float) -> float:
     F = 2 n_a n_b + n_a + n_b + 2 alpha^4 cos(2 phi)
         - 16 alpha^4 N2^2 E^2 sin^2(omega) sin^2(phi).
     """
+    check_phi(phi)
     return lossless_curve(alpha, omega)(phi)
 
 
@@ -122,15 +124,10 @@ def total_photon_number(alpha: float, omega: float) -> float:
     return _photon_number(alpha, CatParams(alpha, omega).n_alpha_sq)
 
 
-def qfi_lossless_max(alpha: float, omega: float) -> float:
-    """Lossless QFI at the optimum phi = 0 (moment-assembly route)."""
-    return qfi_lossless(alpha, 0.0, omega)
-
-
 def qfi_lossless_max_in_n(alpha: float, omega: float) -> float:
     """Optimal lossless QFI as N + (1 + E cos omega) N^2, N total photons.
 
-    Algebraic regrouping of qfi_lossless_max; exposed for Heisenberg /
+    Algebraic regrouping of qfi_lossless at phi = 0; exposed for Heisenberg /
     standard-quantum-limit comparisons (F vs N^2 and N).
     """
     n_total = total_photon_number(alpha, omega)
@@ -157,7 +154,6 @@ class LossyRho2x2:
     """
 
     alpha: float
-    phi: float
     omega: float
     transmission: float
     checked: InitVar[CatParams | None] = None
@@ -200,11 +196,6 @@ class LossyRho2x2:
     def matrix(self) -> np.ndarray:
         off = self.xi * cmath.exp(1j * self.tau_phase)
         return np.array([[self.eta, off], [np.conj(off), 1.0 - self.eta]])
-
-
-def reduced_density(alpha: float, phi: float, omega: float, transmission: float
-                    ) -> LossyRho2x2:
-    return LossyRho2x2(alpha, phi, omega, transmission)
 
 
 @dataclass(frozen=True)
@@ -320,7 +311,7 @@ def lossy_curve(alpha: float, omega: float, transmission: float) -> LossyPhiCurv
     n_total = _photon_number(alpha, params.n_alpha_sq)
     if transmission == 0.0 or alpha == 0.0:
         return LossyPhiCurve(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, n_total, dark=True)
-    rho2 = LossyRho2x2(alpha, 0.0, omega, transmission, params)
+    rho2 = LossyRho2x2(alpha, omega, transmission, params)
     terms = lossy_qfi_terms(rho2)
     ta2 = transmission * alpha * alpha
     c = math.cos(rho2.tau_phase)
@@ -351,6 +342,7 @@ def qfi_lossy(alpha: float, phi: float, omega: float, transmission: float) -> fl
     sigma == mu cos tau; it is kept because it costs nothing and is why
     phi = 0 stays optimal under loss.
     """
+    check_phi(phi)
     return lossy_curve(alpha, omega, transmission)(phi)
 
 
@@ -365,7 +357,7 @@ def qfi_lossy_max(alpha: float, omega: float, transmission: float) -> float:
     check_transmission(transmission)
     if transmission == 0.0 or alpha == 0.0:
         return 0.0
-    rho2 = LossyRho2x2(alpha, 0.0, omega, transmission, params)
+    rho2 = LossyRho2x2(alpha, omega, transmission, params)
     terms = lossy_qfi_terms(rho2)
     ta2 = transmission * alpha * alpha
     c = math.cos(rho2.tau_phase)
@@ -386,6 +378,7 @@ def qfi_lossy_even(alpha: float, phi: float, transmission: float) -> float:
         + 4 T^2 a^4 cos^2(phi) [1 - 4 M2^2 (1 - p_r^2)]
         - 16 T^2 a^4 sin^2(phi) M2^2 (1 - p_r^2) p_t^2.
     """
+    check_phi(phi)
     check_transmission(transmission)
     if transmission == 0.0 or alpha == 0.0:
         return 0.0
@@ -414,6 +407,7 @@ def branch_amplitudes(alpha: float, phi: float, transmission: float
     |A> = |i s (1+e^{i phi}), s (1-e^{i phi})>,
     |B> = |-i s (1-e^{i phi}), -s (1+e^{i phi})>, s = alpha sqrt(T/2).
     """
+    check_phi(phi)
     check_transmission(transmission)
     s = alpha * math.sqrt(transmission / 2.0)
     e = cmath.exp(1j * phi)
@@ -443,6 +437,7 @@ def branch_jz_moments(alpha: float, phi: float, transmission: float) -> BranchMo
     <A|Jz^2|A> = <B|Jz^2|B> = T a^2 / 2 + T^2 a^4 cos^2 phi;
     <A|Jz^2|B> = -p_t T^2 a^4 sin^2 phi; <A|B> = p_t = exp(-2 a^2 T).
     """
+    check_phi(phi)
     check_transmission(transmission)
     return _branch_jz_moments(transmission * alpha * alpha, phi)
 
@@ -491,9 +486,10 @@ def qfi_lossy_parts(alpha: float, phi: float, omega: float, transmission: float
     |lam_-> = (-v_- e^{i tau} - t v_+/q)|A> + (v_+/q)|B>,
     and every bracket reduces to the closed-form branch moments.
     """
+    check_phi(phi)
     params = CatParams(alpha, omega)
     check_transmission(transmission)
-    rho2 = LossyRho2x2(alpha, phi, omega, transmission, params)
+    rho2 = LossyRho2x2(alpha, omega, transmission, params)
     eig = eigensystem_2x2(rho2)
     mom = _branch_jz_moments(transmission * alpha * alpha, phi)
     t = rho2.p_t

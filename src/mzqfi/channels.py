@@ -94,16 +94,6 @@ def hermitian_expm(herm: np.ndarray, scale: float) -> np.ndarray:
     return (v * np.exp(1j * scale * w)) @ v.conj().T
 
 
-def number_conserving_expm_apply(basis: FockBasis, herm: np.ndarray, scale: float,
-                                 vec: np.ndarray) -> np.ndarray:
-    """Apply exp(1j * scale * herm) to a vector block by block."""
-    out = np.empty_like(vec, dtype=complex)
-    for blk in basis.block_slices:
-        w, v = np.linalg.eigh(herm[blk, blk])
-        out[blk] = v @ (np.exp(1j * scale * w) * (v.conj().T @ vec[blk]))
-    return out
-
-
 def pair_jx(basis: FockBasis, mode_i: int, mode_j: int) -> np.ndarray:
     """(a_i^dag a_j + a_j^dag a_i)/2 on an m-mode basis."""
     hop = hop_operator(basis, mode_i, mode_j)
@@ -279,8 +269,10 @@ def loss_channel_ancilla(state: TwoModeState, spec: LossSpec) -> DensityMatrix:
     psi4 = np.zeros(big.dim, dtype=complex)
     psi4[big.lookup(np.pad(occ, ((0, 0), (0, 2))))] = state.amplitudes
     angle = BeamSplitterSpec(spec.transmission).mixing_angle
-    psi4 = number_conserving_expm_apply(big, pair_jx(big, 0, 2), angle, psi4)
-    psi4 = number_conserving_expm_apply(big, pair_jx(big, 1, 3), angle, psi4)
+    for arm, ancilla in ((0, 2), (1, 3)):
+        jx = pair_jx(big, arm, ancilla)
+        for blk in big.block_slices:
+            psi4[blk] = hermitian_expm(jx[blk, blk], angle) @ psi4[blk]
     # partial trace of a pure state: each ancilla group adds one outer product
     rho = np.zeros((state.basis.dim,) * 2, dtype=complex)
     for ii, ki in _trace_groups(big, (0, 1)):

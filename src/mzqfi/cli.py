@@ -26,7 +26,7 @@ from .experiments import (
     FIGURE_IDS,
     SweepRecord,
     _METHODS,
-    analytic_qfi,
+    analytic_curve,
     figure_dataset,
     scan_phi,
     write_records_csv,
@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .fock import FockCutoff
 from .simulate import qfi_numeric
-from .validation import all_passed, run_checks
+from .validation import run_checks
 
 _FORMATS = ("csv", "json")
 _LEVELS = ("fast", "full")
@@ -135,7 +135,7 @@ def _cmd_eval(args) -> int:
     phi, omega, T = v["phi"], v["omega"], v["T"]
     f_analytic = f_numeric = abs_err = tail = None
     if method in ("analytic", "both"):
-        f_analytic = analytic_qfi(alpha, phi, omega, T)
+        f_analytic = analytic_curve(alpha, omega, T)(phi)
     if method in ("numeric", "both"):
         cutoff = None if v["n_max"] is None else FockCutoff(v["n_max"])
         kwargs = {}
@@ -206,7 +206,7 @@ def _cmd_validate(args) -> int:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
     n_pass = sum(r.passed for r in results)
     print(f"validate {level}: {n_pass}/{len(results)} checks passed")
-    return 0 if all_passed(results) else 4
+    return 0 if n_pass == len(results) else 4
 
 
 def build_parser() -> argparse.ArgumentParser:

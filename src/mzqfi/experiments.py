@@ -21,13 +21,13 @@ from .analytic import (
     lossless_curve,
     lossy_curve,
     qfi_lossless,
-    qfi_lossy,
+    qfi_lossy,   # unused here; perfbench/tracing.py wraps this attribute
     qfi_lossy_max,
     total_photon_number,
 )
 from .channels import check_transmission
 from .errors import DomainError, HarmonicMismatch
-from .fock import EPS_TAIL, FockCutoff
+from .fock import EPS_TAIL, FockCutoff, check_phi
 from .qfi import EPS_RANK
 from .simulate import probe_cutoff, qfi_numeric
 
@@ -56,14 +56,15 @@ def default_omega_grid(points: int = OMEGA_POINTS) -> tuple[float, ...]:
 def _check_axis(name: str, axis) -> None:
     if len(axis) == 0:
         raise DomainError(f"{name} must be non-empty")
-    if any(b < a for a, b in zip(axis, axis[1:])):
-        raise DomainError(f"{name} must be sorted ascending")
+    # written with <= so that a NaN entry fails
+    if not all(a <= b for a, b in zip(axis, axis[1:])):
+        raise DomainError(f"{name} must be sorted ascending, without NaN")
 
 
 def _check_phi_window(phi_grid) -> None:
-    """A sorted phi grid lies in [-pi/2, pi/2)."""
-    if phi_grid[0] < -math.pi / 2.0 or phi_grid[-1] >= math.pi / 2.0:
-        raise DomainError("phi must lie in [-pi/2, pi/2)")
+    """A sorted phi grid lies in [-pi/2, pi/2); a NaN or infinite end fails."""
+    if not (-math.pi / 2.0 <= phi_grid[0] and phi_grid[-1] < math.pi / 2.0):
+        raise DomainError("phi must be finite and lie in [-pi/2, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -119,16 +120,10 @@ class SweepRecord:
     N_sq: float
 
 
-def analytic_qfi(alpha: float, phi: float, omega: float, T: float) -> float:
-    """Closed-form QFI: lossless expression at T = 1, lossy one otherwise."""
-    if T == 1.0:
-        return qfi_lossless(alpha, phi, omega)
-    return qfi_lossy(alpha, phi, omega, T)
-
-
 def analytic_curve(alpha: float, omega: float, T: float
                    ) -> LosslessPhiCurve | LossyPhiCurve:
-    """analytic_qfi at fixed (alpha, omega, T) as a callable of phi."""
+    """Closed-form QFI at fixed (alpha, omega, T) as a callable of phi: the
+    lossless expression at T = 1, the lossy one otherwise."""
     if T == 1.0:
         return lossless_curve(alpha, omega)
     return lossy_curve(alpha, omega, T)
@@ -181,6 +176,7 @@ def evaluate_point(
     method: str = "both",
     n_max: int | None = None,
 ) -> SweepRecord:
+    check_phi(phi)
     return _PointEvaluator(alpha, omega, T, method, n_max)(phi)
 
 
@@ -481,21 +477,42 @@ def write_records_json(path: str, records, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _csv_record(path: str, line: int, row: list[str]) -> SweepRecord:
+    if len(row) != len(CSV_COLUMNS):
+        raise DomainError(f"{path}, line {line}: {len(row)} cells, "
+                          f"expected {len(CSV_COLUMNS)}")
+    try:
+        vals = [None if cell == "" else float(cell) for cell in row]
+    except ValueError as exc:
+        raise DomainError(f"{path}, line {line}: {exc}") from None
+    return SweepRecord(**dict(zip(CSV_COLUMNS, vals)))
+
+
 def read_records(path: str) -> tuple[list[SweepRecord], dict | None]:
-    """Round-trip reader for both output formats."""
+    """Round-trip reader for both output formats.
+
+    A record with a missing or extra column, or a cell that is not a
+    number, raises DomainError naming the path and the record.
+    """
     if path.endswith(".json"):
         with open(path) as fh:
-            payload = json.load(fh)
-        records = [SweepRecord(**{k: row[k] for k in CSV_COLUMNS})
-                   for row in payload["records"]]
+            try:
+                payload = json.load(fh)
+                rows = payload["records"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DomainError(f"{path}: no records list ({exc!r})") from None
+        records = []
+        for i, row in enumerate(rows):
+            if set(row) != set(CSV_COLUMNS) or not all(
+                    v is None or isinstance(v, (int, float)) for v in row.values()):
+                raise DomainError(f"{path}, record {i}: expected a number or null "
+                                  f"for each of {list(CSV_COLUMNS)}, got {row}")
+            records.append(SweepRecord(**row))
         return records, payload.get("meta")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != CSV_COLUMNS:
-            raise DomainError(f"unexpected CSV header {header}")
-        records = []
-        for row in reader:
-            vals = [None if cell == "" else float(cell) for cell in row]
-            records.append(SweepRecord(**dict(zip(CSV_COLUMNS, vals))))
+            raise DomainError(f"{path}: unexpected CSV header {header}")
+        records = [_csv_record(path, reader.line_num, row) for row in reader]
     return records, None

@@ -90,8 +90,6 @@ class FockBasis:
                 block.append(occ)
             block.sort(key=lambda occ: tuple(-n for n in occ))
             states.extend(block)
-        self.states: tuple[tuple[int, ...], ...] = tuple(states)
-        self.index: dict[tuple[int, ...], int] = {s: i for i, s in enumerate(states)}
         self.dim = len(states)
         # column-major: each mode's occupations are contiguous, which keeps
         # the per-mode reductions of the shift maps vectorized
@@ -428,6 +426,12 @@ def pure_density(state: TwoModeState) -> DensityMatrix:
     return DensityMatrix(rho, state.cutoff, n_modes=2, tail_mass=state.tail_mass)
 
 
+def check_phi(phi: float) -> None:
+    """Raise DomainError unless the coherent-state phase phi is finite."""
+    if not math.isfinite(phi):
+        raise DomainError(f"amplitudes are not finite: phi must be finite, got {phi!r}")
+
+
 def input_state(
     alpha: float,
     phi: float,
@@ -443,6 +447,7 @@ def input_state(
     """
     if alpha < 0:
         raise DomainError("alpha must be non-negative")
+    check_phi(phi)
     if cutoff is None:
         cutoff = default_cutoff(math.hypot(alpha, cat.alpha))
     n_max = cutoff.n_max

@@ -40,31 +40,23 @@ RITZ_TOL = 1e-20     # trace a certified Ritz subspace may leave out
 
 @dataclass(frozen=True)
 class GeneratorChoice:
-    """Phase generator selector: J_y (lossless family) or J_z (between splitters).
-
-    The QFI is invariant under sign flip; the sign is carried so pipelines
-    can state their convention explicitly.
-    """
+    """Phase generator selector: J_y (lossless family) or J_z (between splitters)."""
 
     which: str = "jy"
-    sign: int = 1
 
     def __post_init__(self):
         if self.which not in ("jy", "jz"):
             raise DomainError(f"generator must be 'jy' or 'jz', got {self.which!r}")
-        if self.sign not in (1, -1):
-            raise DomainError("generator sign must be +1 or -1")
 
     def matrix(self, cutoff: FockCutoff) -> np.ndarray:
         ops = schwinger_ops(cutoff)
-        base = ops.jy if self.which == "jy" else ops.jz
-        return base if self.sign == 1 else -base
+        return ops.jy if self.which == "jy" else ops.jz
 
     def diagonal(self, cutoff: FockCutoff) -> np.ndarray | None:
         """Diagonal of the generator if it is diagonal in the number basis (J_z)."""
         if self.which != "jz":
             return None
-        return self.sign * schwinger_ops(cutoff).jz_diagonal
+        return schwinger_ops(cutoff).jz_diagonal
 
     def apply(self, cutoff: FockCutoff, vecs: np.ndarray) -> np.ndarray:
         """G @ vecs without a dense G: J_z as the occupation diagonal, J_y
@@ -77,7 +69,7 @@ class GeneratorChoice:
         out = np.zeros(vecs.shape, dtype=complex)
         out[tgt] = weights * vecs[src]
         out[src] -= weights * vecs[tgt]      # b^dag a = (a^dag b)^dag
-        return out * (self.sign / 2j)
+        return out / 2j
 
 
 def _resolve_generator(gen, cutoff: FockCutoff | None) -> np.ndarray:

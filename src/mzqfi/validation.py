@@ -313,7 +313,7 @@ def _branch_moments() -> float:
 
 def _reduced_density_identities() -> float:
     """Largest defect of det, <sigma_z> and p_t p_r identities of the 2x2 problem."""
-    rho2 = analytic.reduced_density(0.3, 0.0, 0.0, 0.5)
+    rho2 = analytic.LossyRho2x2(0.3, 0.0, 0.5)
     return max(
         abs(rho2.eta * (1.0 - rho2.eta) - rho2.xi**2 - rho2.det_rho),
         abs(rho2.sigma_z_exp - (1.0 - 2.0 * rho2.n_alpha_sq * (1.0 - rho2.p_t**2))),
@@ -323,7 +323,7 @@ def _reduced_density_identities() -> float:
 
 def _reduced_density_purity() -> float:
     """|Fock purity of the lossy probe - purity of the 2x2 spectrum|."""
-    eig = analytic.eigensystem_2x2(analytic.reduced_density(0.3, 0.0, 0.0, 0.5))
+    eig = analytic.eigensystem_2x2(analytic.LossyRho2x2(0.3, 0.0, 0.5))
     numeric = simulate.lossy_probe_density(0.3, 0.0, 0.0, 0.5)
     return abs(numeric.purity() - (eig.lam_plus**2 + eig.lam_minus**2))
 
@@ -525,7 +525,3 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
         raise DomainError(f"level must be 'fast' or 'full', got {level!r}")
     levels = ("fast",) if level == "fast" else ("fast", "full")
     return [_run(check) for lv in levels for check in CHECKS if check.level == lv]
-
-
-def all_passed(results) -> bool:
-    return all(r.passed for r in results)

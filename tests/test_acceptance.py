@@ -19,7 +19,6 @@ from mzqfi import (
     figure_dataset,
     loss_sensitivity_report,
     qfi_lossless,
-    qfi_lossless_max,
     qfi_lossless_max_in_n,
     qfi_lossy,
     qfi_lossy_max,
@@ -35,7 +34,7 @@ def test_criterion_3_lossless_closed_form_random_points(assert_invariant):
 def test_criterion_3_maximum_forms_agree():
     for alpha in (0.1, 0.3, 0.8, 2.0, 3.0):
         for omega in default_omega_grid(16):
-            a = qfi_lossless_max(alpha, omega)
+            a = qfi_lossless(alpha, 0.0, omega)
             b = qfi_lossless_max_in_n(alpha, omega)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
@@ -66,7 +65,7 @@ def test_criterion_5_bright_probe_asymptotics():
     alpha = 10.0
     f_06 = qfi_lossy_max(alpha, 0.0, 0.6)
     assert abs(f_06 / (2.0 * 0.6 * alpha**2) - 1.0) < 0.05
-    f_1 = qfi_lossless_max(alpha, 0.0)
+    f_1 = qfi_lossless(alpha, 0.0, 0.0)
     assert abs(f_1 / (4.0 * alpha**4) - 1.0) < 0.05
     report = loss_sensitivity_report(alpha)
     assert report.ratio_small_loss < 0.05

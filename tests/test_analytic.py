@@ -14,6 +14,7 @@ from mzqfi import (
     CatParams,
     DomainError,
     FockCutoff,
+    LossyRho2x2,
     branch_amplitudes,
     branch_jz_moments,
     cat_state,
@@ -24,10 +25,8 @@ from mzqfi import (
     lowering_power,
     probe_state,
     qfi_lossless,
-    qfi_lossless_max,
     qfi_lossless_max_in_n,
     qfi_lossy,
-    reduced_density,
     schwinger_ops,
     total_photon_number,
 )
@@ -67,8 +66,7 @@ def test_lossless_qfi_matches_pure_variance(assert_invariant):
 def test_lossless_maximum_identities():
     for alpha in (0.3, 0.8, 3.0):
         for omega in (0.0, 1.0, OMEGA_67):
-            f_m = qfi_lossless_max(alpha, omega)
-            assert f_m == pytest.approx(qfi_lossless(alpha, 0.0, omega), abs=1e-12)
+            f_m = qfi_lossless(alpha, 0.0, omega)
             assert qfi_lossless_max_in_n(alpha, omega) == pytest.approx(f_m, abs=1e-12)
             # beats shot noise at the optimum
             assert f_m > total_photon_number(alpha, omega)
@@ -91,7 +89,7 @@ def test_cat_mean_matches_cat_state():
 
 
 def test_reduced_density_invariants():
-    rho2 = reduced_density(0.4, 0.3, 1.1, 0.62)
+    rho2 = LossyRho2x2(0.4, 1.1, 0.62)
     mat = rho2.matrix()
     assert np.trace(mat).real == pytest.approx(1.0)
     assert rho2.det_rho == pytest.approx(np.linalg.det(mat).real, abs=1e-14)
@@ -106,7 +104,7 @@ def test_reduced_density_invariants():
 
 def test_eigensystem_degenerate_fallback():
     # alpha large, omega = pi/2, T = 1/2: both eigenvalues -> 1/2
-    rho2 = reduced_density(5.0, 0.0, math.pi / 2.0, 0.5)
+    rho2 = LossyRho2x2(5.0, math.pi / 2.0, 0.5)
     eig = eigensystem_2x2(rho2)
     assert eig.degenerate
     assert eig.v_plus == pytest.approx(math.sqrt(0.5))

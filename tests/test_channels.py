@@ -52,7 +52,7 @@ def test_phase_shift_is_relative_phase():
     cutoff = FockCutoff(3)
     u = phase_shift_unitary(theta, cutoff)
     basis = two_mode_basis(cutoff)
-    for idx, (na, nb) in enumerate(basis.states):
+    for idx, (na, nb) in enumerate(basis.occupations):
         expected = np.exp(0.5j * theta * (na - nb))
         assert u[idx, idx] == pytest.approx(expected)
 

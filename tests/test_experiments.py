@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,9 @@ from mzqfi import (
     DomainError,
     HarmonicMismatch,
     SweepGrid,
+    analytic,
+    branch_amplitudes,
+    branch_jz_moments,
     compare_numeric_analytic,
     default_omega_grid,
     default_phi_grid,
@@ -22,6 +26,11 @@ from mzqfi import (
     figure_dataset,
     golden_section_max,
     loss_sensitivity_report,
+    lossless_moments,
+    qfi_lossless,
+    qfi_lossy,
+    qfi_lossy_parts,
+    qfi_numeric,
     read_records,
     resolve_jobs,
     run_grid,
@@ -56,10 +65,29 @@ def test_sweep_grid_validation():
         SweepGrid(**{**ok, "alpha_values": ()})
     with pytest.raises(DomainError):
         SweepGrid(**{**ok, "phi_grid": (0.2, 0.1)})
+    with pytest.raises(DomainError, match="phi"):
+        SweepGrid(**{**ok, "phi_grid": (-0.5, math.nan)})
     with pytest.raises(DomainError, match=r"T must lie in \[0,1\]"):
         SweepGrid(**{**ok, "T_grid": (1.5,)})
     with pytest.raises(DomainError):
         SweepGrid(**{**ok, "method": "magic"})
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_non_finite_phi_is_domain_error(phi):
+    for call in (lambda: qfi_lossless(0.3, phi, 1.0),
+                 lambda: qfi_lossy(0.3, phi, 1.0, 0.5),
+                 lambda: qfi_lossy_parts(0.3, phi, 1.0, 0.5),
+                 lambda: analytic.qfi_lossy_even(0.3, phi, 0.5),
+                 lambda: lossless_moments(0.3, phi, 1.0),
+                 lambda: branch_amplitudes(0.3, phi, 0.5),
+                 lambda: branch_jz_moments(0.3, phi, 0.5),
+                 lambda: qfi_numeric(0.3, phi, 1.0, 0.5),
+                 lambda: qfi_numeric(0.3, phi, 1.0, 1.0),
+                 lambda: evaluate_point(0.3, phi, 1.0, 0.5, method="analytic"),
+                 lambda: evaluate_point(0.3, phi, 1.0, 1.0, method="both", n_max=12)):
+        with pytest.raises(DomainError, match="phi must be finite"):
+            call()
 
 
 def test_evaluate_point_column_presence():
@@ -146,7 +174,8 @@ def test_scan_records_equal_evaluate_point(alpha, omega, T, method, phi_grid):
 
 
 @pytest.mark.parametrize("phi_grid",
-                         [(), (0.5, -0.2, 1.0), (-1.6, 0.0), (0.0, math.pi / 2.0)])
+                         [(), (0.5, -0.2, 1.0), (-1.6, 0.0), (0.0, math.pi / 2.0),
+                          (-0.5, math.nan)])
 def test_scan_phi_rejects_bad_grid(phi_grid):
     with pytest.raises(DomainError, match="phi"):
         scan_phi(0.3, 2.0, 0.83, phi_grid=phi_grid)
@@ -260,4 +289,21 @@ def test_read_records_rejects_foreign_header(tmp_path):
     path = tmp_path / "foreign.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(DomainError):
+        read_records(str(path))
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("short.csv", ",".join(CSV_COLUMNS) + "\n0.3,0.0\n", ", line 2"),
+    ("long.csv", ",".join(CSV_COLUMNS) + "\n" + ",".join(["1"] * 11) + "\n", ", line 2"),
+    ("cell.csv", ",".join(CSV_COLUMNS) + "\n" + ",".join(["1"] * 9 + ["x"]) + "\n",
+     ", line 2"),
+    ("missing.json", json.dumps({"records": [{"alpha": 0.3}]}), ", record 0"),
+    ("cell.json", json.dumps({"records": [dict.fromkeys(CSV_COLUMNS, "x")]}), ", record 0"),
+    ("empty.json", "", ": no records list"),
+], ids=["short_row", "extra_cell", "bad_cell", "json_missing_column", "json_bad_cell",
+        "json_no_records"])
+def test_read_records_rejects_malformed_rows(tmp_path, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(DomainError, match=re.escape(f"{path}{where}")):
         read_records(str(path))

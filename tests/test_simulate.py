@@ -16,6 +16,7 @@ from mzqfi import (
     DomainError,
     FockCutoff,
     LossSpec,
+    LossyRho2x2,
     TailTooLarge,
     TwoModeState,
     default_cutoff,
@@ -33,7 +34,6 @@ from mzqfi import (
     qfi_mixed,
     qfi_numeric,
     qfi_pure,
-    reduced_density,
     schwinger_ops,
     two_mode_basis,
 )
@@ -70,7 +70,7 @@ def test_lossy_density_rank_two_structure():
     # two coherent branches survive loss, so purity matches the 2x2 model
     alpha, phi, omega, T = 0.3, 0.1, 1.0, 0.5
     rho = lossy_probe_density(alpha, phi, omega, T)
-    eig = eigensystem_2x2(reduced_density(alpha, phi, omega, T))
+    eig = eigensystem_2x2(LossyRho2x2(alpha, omega, T))
     expected = eig.lam_plus**2 + eig.lam_minus**2
     assert rho.purity() == pytest.approx(expected, abs=1e-10)
 

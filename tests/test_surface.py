@@ -1,0 +1,58 @@
+"""The public surface other code reaches: README and the benchmark harness.
+
+perfbench/ imports mzqfi names and wraps module attributes by name, and
+README's library quick start calls the package; a deletion that removes
+a name either of them uses fails here, in the unit suite.
+"""
+from __future__ import annotations
+
+import re
+import runpy
+from pathlib import Path
+
+import pytest
+
+import mzqfi
+
+_ROOT = Path(__file__).resolve().parent.parent
+_README = (_ROOT / "README.md").read_text()
+
+
+def _readme_section(heading: str) -> str:
+    return _README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_benchmark_surface_installs_and_uninstalls():
+    # run_path compiles the sources without writing bytecode into perfbench/
+    runpy.run_path(str(_ROOT / "perfbench" / "workloads.py"))
+    tracing = runpy.run_path(str(_ROOT / "perfbench" / "tracing.py"))
+    originals = [(module, attr, getattr(module, attr))
+                 for module, attr, *_ in tracing["_BOUNDARIES"]]
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        # every boundary plus experiments.golden_section_max
+        assert len(tracer._patched) == len(originals) + 1
+    finally:
+        tracer.uninstall()
+    assert all(getattr(module, attr) is orig for module, attr, orig in originals)
+
+
+def test_readme_quick_start_runs_and_gives_its_values():
+    code = _readme_section("Quick start (library)").split("```python\n", 1)[1]
+    code = code.split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    checked = 0
+    for line in code.splitlines():
+        match = re.fullmatch(r"(\S.*?)\s+#\s*(\d+\.\d+)\s*", line)
+        if match:
+            value = eval(match.group(1), namespace)
+            assert value == pytest.approx(float(match.group(2)), rel=1e-15, abs=0.0)
+            checked += 1
+    assert checked == 2
+
+
+def test_readme_lists_the_public_api():
+    listed = set(re.findall(r"`(\w+)`", _readme_section("Public API")))
+    assert listed == set(mzqfi.__all__)
