@@ -49,7 +49,6 @@ from .channels import (
     loss_kraus_coefficients,
     loss_kraus_operators,
     number_conserving_expm,
-    partial_trace,
     phase_shift_unitary,
 )
 from .qfi import (

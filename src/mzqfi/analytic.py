@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import check_transmission
 from .errors import BasisDegenerate
-from .fock import CatParams, check_phi
+from .fock import CatParams, check_alpha, check_phi
 
 EPS_BASIS = 1e-12   # 1 - p_t^2 below this: branches coincide, 2x2 basis gone
 EPS_GAP = 1e-12     # squared eigenvalue gap below this: spectrum degenerate
@@ -378,6 +378,7 @@ def qfi_lossy_even(alpha: float, phi: float, transmission: float) -> float:
         + 4 T^2 a^4 cos^2(phi) [1 - 4 M2^2 (1 - p_r^2)]
         - 16 T^2 a^4 sin^2(phi) M2^2 (1 - p_r^2) p_t^2.
     """
+    check_alpha(alpha)
     check_phi(phi)
     check_transmission(transmission)
     if transmission == 0.0 or alpha == 0.0:
@@ -407,6 +408,7 @@ def branch_amplitudes(alpha: float, phi: float, transmission: float
     |A> = |i s (1+e^{i phi}), s (1-e^{i phi})>,
     |B> = |-i s (1-e^{i phi}), -s (1+e^{i phi})>, s = alpha sqrt(T/2).
     """
+    check_alpha(alpha)
     check_phi(phi)
     check_transmission(transmission)
     s = alpha * math.sqrt(transmission / 2.0)
@@ -437,6 +439,7 @@ def branch_jz_moments(alpha: float, phi: float, transmission: float) -> BranchMo
     <A|Jz^2|A> = <B|Jz^2|B> = T a^2 / 2 + T^2 a^4 cos^2 phi;
     <A|Jz^2|B> = -p_t T^2 a^4 sin^2 phi; <A|B> = p_t = exp(-2 a^2 T).
     """
+    check_alpha(alpha)
     check_phi(phi)
     check_transmission(transmission)
     return _branch_jz_moments(transmission * alpha * alpha, phi)

@@ -50,10 +50,6 @@ class BeamSplitterSpec:
         check_transmission(self.transmission)
 
     @property
-    def reflection(self) -> float:
-        return 1.0 - self.transmission
-
-    @property
     def mixing_angle(self) -> float:
         return 2.0 * math.acos(math.sqrt(self.transmission))
 
@@ -66,10 +62,6 @@ class LossSpec:
 
     def __post_init__(self):
         check_transmission(self.transmission)
-
-    @property
-    def reflection(self) -> float:
-        return 1.0 - self.transmission
 
 
 def number_conserving_expm(basis: FockBasis, herm: np.ndarray, scale: float = 1.0
@@ -100,12 +92,9 @@ def pair_jx(basis: FockBasis, mode_i: int, mode_j: int) -> np.ndarray:
     return 0.5 * (hop + hop.conj().T)
 
 
-def beam_splitter_unitary(spec: BeamSplitterSpec, cutoff: FockCutoff,
-                          modes: tuple[int, int] = (0, 1),
-                          n_modes: int = 2) -> np.ndarray:
-    basis = fock_basis(n_modes, cutoff.n_max)
-    jx = pair_jx(basis, modes[0], modes[1])
-    return number_conserving_expm(basis, jx, spec.mixing_angle)
+def beam_splitter_unitary(spec: BeamSplitterSpec, cutoff: FockCutoff) -> np.ndarray:
+    basis = two_mode_basis(cutoff)
+    return number_conserving_expm(basis, pair_jx(basis, 0, 1), spec.mixing_angle)
 
 
 def phase_shift_unitary(theta: float, cutoff: FockCutoff) -> np.ndarray:
@@ -218,41 +207,22 @@ def loss_channel(dm: DensityMatrix, spec: LossSpec) -> DensityMatrix:
     out = apply_loss(dm.matrix, basis, 0, spec)
     out = apply_loss(out, basis, 1, spec)
     out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, dm.cutoff, n_modes=dm.n_modes, tail_mass=dm.tail_mass)
+    return DensityMatrix(out, dm.cutoff, tail_mass=dm.tail_mass)
 
 
 @lru_cache(maxsize=None)
-def _trace_groups(basis: FockBasis, keep: tuple[int, ...]
-                  ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """States grouped by the occupations of the traced modes.
+def _ancilla_groups(n_max: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Four-mode states grouped by the ancilla occupations (modes 2, 3).
 
-    One (indices in the full basis, indices in the kept basis) pair per
-    group; groups come in order of first appearance in the full basis.
+    One (indices in the four-mode basis, indices in the two-mode basis)
+    pair per group; groups come in order of first appearance.
     """
-    occ = basis.occupations
-    traced = [m for m in range(basis.n_modes) if m not in keep]
-    kept_idx = fock_basis(len(keep), basis.n_max).lookup(occ[:, list(keep)])
-    group = fock_basis(len(traced), basis.n_max).lookup(occ[:, traced])
+    occ = fock_basis(4, n_max).occupations
+    kept_idx = fock_basis(2, n_max).lookup(occ[:, :2])
+    group = fock_basis(2, n_max).lookup(occ[:, 2:])
     order = np.argsort(group, kind="stable")
     cuts = np.flatnonzero(np.diff(group[order])) + 1
     return tuple((ii, kept_idx[ii]) for ii in np.split(order, cuts))
-
-
-def partial_trace(dm: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
-    """Trace out every mode not in `keep`."""
-    if max(keep, default=-1) >= dm.n_modes or min(keep, default=0) < 0:
-        raise DimensionMismatch(f"keep modes {keep} out of range for {dm.n_modes} modes")
-    if len(set(keep)) < len(keep):
-        raise DimensionMismatch(f"keep modes {keep} repeat a mode")
-    keep = tuple(keep)
-    if all(m in keep for m in range(dm.n_modes)):
-        return DensityMatrix(dm.matrix.copy(), dm.cutoff, n_modes=dm.n_modes,
-                             tail_mass=dm.tail_mass)
-    rho = dm.matrix
-    out = np.zeros((fock_basis(len(keep), dm.cutoff.n_max).dim,) * 2, dtype=complex)
-    for ii, ki in _trace_groups(dm.basis, keep):
-        out[np.ix_(ki, ki)] += rho[np.ix_(ii, ii)]
-    return DensityMatrix(out, dm.cutoff, n_modes=len(keep), tail_mass=dm.tail_mass)
 
 
 def loss_channel_ancilla(state: TwoModeState, spec: LossSpec) -> DensityMatrix:
@@ -275,7 +245,7 @@ def loss_channel_ancilla(state: TwoModeState, spec: LossSpec) -> DensityMatrix:
             psi4[blk] = hermitian_expm(jx[blk, blk], angle) @ psi4[blk]
     # partial trace of a pure state: each ancilla group adds one outer product
     rho = np.zeros((state.basis.dim,) * 2, dtype=complex)
-    for ii, ki in _trace_groups(big, (0, 1)):
+    for ii, ki in _ancilla_groups(n_max):
         chunk = psi4[ii]
         rho[np.ix_(ki, ki)] += np.outer(chunk, chunk.conj())
-    return DensityMatrix(rho, state.cutoff, n_modes=2, tail_mass=state.tail_mass)
+    return DensityMatrix(rho, state.cutoff, tail_mass=state.tail_mass)

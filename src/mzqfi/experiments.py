@@ -27,7 +27,7 @@ from .analytic import (
 )
 from .channels import check_transmission
 from .errors import DomainError, HarmonicMismatch
-from .fock import EPS_TAIL, FockCutoff, check_phi
+from .fock import EPS_TAIL, FockCutoff, check_alpha, check_phi
 from .qfi import EPS_RANK
 from .simulate import probe_cutoff, qfi_numeric
 
@@ -43,9 +43,9 @@ FIGURE_IDS = ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2c")
 _METHODS = ("analytic", "numeric", "both")
 
 
-def default_phi_grid(points: int = PHI_POINTS) -> tuple[float, ...]:
-    """`points` equally spaced phases in [-pi/2, pi/2)."""
-    return tuple(np.linspace(-math.pi / 2.0, math.pi / 2.0, points, endpoint=False))
+def default_phi_grid() -> tuple[float, ...]:
+    """PHI_POINTS equally spaced phases in [-pi/2, pi/2)."""
+    return tuple(np.linspace(-math.pi / 2.0, math.pi / 2.0, PHI_POINTS, endpoint=False))
 
 
 def default_omega_grid(points: int = OMEGA_POINTS) -> tuple[float, ...]:
@@ -56,15 +56,17 @@ def default_omega_grid(points: int = OMEGA_POINTS) -> tuple[float, ...]:
 def _check_axis(name: str, axis) -> None:
     if len(axis) == 0:
         raise DomainError(f"{name} must be non-empty")
-    # written with <= so that a NaN entry fails
-    if not all(a <= b for a, b in zip(axis, axis[1:])):
-        raise DomainError(f"{name} must be sorted ascending, without NaN")
+    # written with <= so that a NaN entry fails; once sorted, the two ends
+    # bound every entry, so checking them rejects a lone NaN and infinities
+    if not (all(a <= b for a, b in zip(axis, axis[1:]))
+            and math.isfinite(axis[0]) and math.isfinite(axis[-1])):
+        raise DomainError(f"{name} must be finite and sorted ascending")
 
 
 def _check_phi_window(phi_grid) -> None:
-    """A sorted phi grid lies in [-pi/2, pi/2); a NaN or infinite end fails."""
+    """A sorted, finite phi grid lies in [-pi/2, pi/2)."""
     if not (-math.pi / 2.0 <= phi_grid[0] and phi_grid[-1] < math.pi / 2.0):
-        raise DomainError("phi must be finite and lie in [-pi/2, pi/2)")
+        raise DomainError("phi must lie in [-pi/2, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,8 @@ class SweepGrid:
                            ("omega_grid", self.omega_grid),
                            ("T_grid", self.T_grid)):
             _check_axis(name, axis)
-        if any(a < 0 for a in self.alpha_values):
-            raise DomainError("alpha must be non-negative")
+        for alpha in self.alpha_values:
+            check_alpha(alpha)
         _check_phi_window(self.phi_grid)
         if self.omega_grid[0] < 0.0 or self.omega_grid[-1] >= math.pi:
             raise DomainError("omega must lie in [0, pi)")
@@ -394,9 +396,8 @@ class ComparisonReport:
     records: tuple[SweepRecord, ...]
 
 
-def compare_numeric_analytic(grid: SweepGrid, jobs: int | None = None
-                             ) -> ComparisonReport:
-    records = run_grid(grid, jobs)
+def compare_numeric_analytic(grid: SweepGrid) -> ComparisonReport:
+    records = run_grid(grid)
     max_err = 0.0
     worst = None
     compared = 0
@@ -432,12 +433,11 @@ class LossSensitivityReport:
     ratio_small_loss: float
 
 
-def loss_sensitivity_report(alpha: float,
-                            T_grid: tuple[float, ...] = (0.6, 0.7, 0.8, 0.9, 1.0)
-                            ) -> LossSensitivityReport:
+def loss_sensitivity_report(alpha: float) -> LossSensitivityReport:
+    """Optimum QFI at omega = 0 for T = 0.6, 0.7, 0.8, 0.9 and 1."""
     n_total = total_photon_number(alpha, 0.0)
     rows = []
-    for T in T_grid:
+    for T in (0.6, 0.7, 0.8, 0.9, 1.0):
         f_m = qfi_lossless(alpha, 0.0, 0.0) if T == 1.0 else qfi_lossy_max(alpha, 0.0, T)
         rows.append(LossSensitivityRow(T, f_m, n_total, n_total * n_total,
                                        f_m > n_total * n_total))

@@ -30,6 +30,8 @@ from .errors import (
 
 EPS_TAIL = 1e-10   # default ceiling on truncation tail mass
 EPS_CAT = 1e-12    # cat normalization denominator below this is degenerate
+EIG_FLOOR = -1e-8  # density eigenvalues below this mean the matrix is not a state
+STATE_TOL = 1e-8   # largest trace or Hermiticity defect of a valid density
 MAX_OPERATOR_BYTES = 2**29   # largest dense complex two-mode operator (512 MiB)
 
 
@@ -265,19 +267,25 @@ def _renormalize(c: np.ndarray, tol_tail: float, what: str) -> tuple[np.ndarray,
     return c, tail
 
 
-def coherent_amplitudes(
-    gamma: complex, cutoff: FockCutoff, tol_tail: float = EPS_TAIL
-) -> tuple[np.ndarray, float]:
+def coherent_amplitudes(gamma: complex, cutoff: FockCutoff) -> tuple[np.ndarray, float]:
     """Number-basis amplitudes of |gamma>, renormalized on 0..n_max.
 
     c_n = exp(-|gamma|^2/2) gamma^n / sqrt(n!).  Returns (amplitudes, tail)
     where tail is the probability mass beyond the cutoff before
-    renormalization.  Raises TailTooLarge when tail > tol_tail.
+    renormalization.  Raises TailTooLarge when tail > EPS_TAIL.
     """
     return _renormalize(
-        coherent_sequence(gamma, cutoff.n_max), tol_tail,
+        coherent_sequence(gamma, cutoff.n_max), EPS_TAIL,
         f"coherent |gamma|={abs(gamma):.4g}, n_max={cutoff.n_max}",
     )
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise DomainError unless alpha is non-negative with a finite square."""
+    if not math.isfinite(alpha * alpha):
+        raise DomainError(f"alpha must be finite with a finite square, got {alpha!r}")
+    if alpha < 0:
+        raise DomainError("alpha must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -294,10 +302,7 @@ class CatParams:
     n_alpha_sq: float = field(init=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha * self.alpha):
-            raise DomainError(f"alpha must be finite with a finite square, got {self.alpha!r}")
-        if self.alpha < 0:
-            raise DomainError("alpha must be non-negative")
+        check_alpha(self.alpha)
         if not 0.0 <= self.omega <= math.pi:
             raise DomainError("omega must lie in [0, pi]")
         denom = 2.0 + 2.0 * math.exp(-2.0 * self.alpha**2) * math.cos(self.omega)
@@ -317,12 +322,10 @@ def _cat_sequence(params: CatParams, n_max: int) -> np.ndarray:
     )
 
 
-def cat_state(
-    params: CatParams, cutoff: FockCutoff, tol_tail: float = EPS_TAIL
-) -> tuple[np.ndarray, float]:
+def cat_state(params: CatParams, cutoff: FockCutoff) -> tuple[np.ndarray, float]:
     """Truncated amplitudes of the normalized cat state, plus tail mass."""
     return _renormalize(
-        _cat_sequence(params, cutoff.n_max), tol_tail,
+        _cat_sequence(params, cutoff.n_max), EPS_TAIL,
         f"cat alpha={params.alpha:.4g}, n_max={cutoff.n_max}",
     )
 
@@ -347,13 +350,10 @@ class TwoModeState:
     def basis(self) -> FockBasis:
         return two_mode_basis(self.cutoff)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Density operator on the truncated m-mode basis.
+    """Density operator on the truncated two-mode basis.
 
     Held either as a dense matrix or, through `from_branches`, as a stack
     of branch vectors: rho = sum_r |b_r><b_r| = branches.T @ branches.conj()
@@ -363,14 +363,13 @@ class DensityMatrix:
 
     _dense: np.ndarray | None
     cutoff: FockCutoff
-    n_modes: int = 2
     tail_mass: float = 0.0
     branches: np.ndarray | None = None
 
     def __post_init__(self):
         if (self._dense is None) == (self.branches is None):
             raise DimensionMismatch("give either a dense matrix or a branch stack")
-        dim = fock_basis(self.n_modes, self.cutoff.n_max).dim
+        dim = two_mode_basis(self.cutoff).dim
         if self._dense is not None:
             held, what, shape = self._dense, "matrix", (dim, dim)
         else:
@@ -385,10 +384,9 @@ class DensityMatrix:
         held.setflags(write=False)
 
     @classmethod
-    def from_branches(cls, branches: np.ndarray, cutoff: FockCutoff, n_modes: int = 2,
+    def from_branches(cls, branches: np.ndarray, cutoff: FockCutoff,
                       tail_mass: float = 0.0) -> DensityMatrix:
-        return cls(None, cutoff, n_modes, tail_mass,
-                   np.ascontiguousarray(branches, dtype=complex))
+        return cls(None, cutoff, tail_mass, np.ascontiguousarray(branches, dtype=complex))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -400,7 +398,7 @@ class DensityMatrix:
 
     @property
     def basis(self) -> FockBasis:
-        return fock_basis(self.n_modes, self.cutoff.n_max)
+        return two_mode_basis(self.cutoff)
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -408,22 +406,21 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.vdot(self.matrix, self.matrix).real)
 
-    def validate(self, trace_tol: float = 1e-8, herm_tol: float = 1e-8,
-                 eig_floor: float = -1e-8) -> None:
+    def validate(self) -> None:
         """Raise NotDensityMatrix on trace, Hermiticity, or positivity failure."""
         tr = self.trace()
-        if abs(tr - 1.0) > trace_tol:
-            raise NotDensityMatrix(f"trace {tr} differs from 1 by more than {trace_tol}")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > herm_tol:
+        if abs(tr - 1.0) > STATE_TOL:
+            raise NotDensityMatrix(f"trace {tr} differs from 1 by more than {STATE_TOL}")
+        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > STATE_TOL:
             raise NotDensityMatrix("matrix is not Hermitian within tolerance")
         w = np.linalg.eigvalsh(self.matrix)
-        if w.min() < eig_floor:
-            raise NotDensityMatrix(f"eigenvalue {w.min():.3e} below floor {eig_floor:.0e}")
+        if w.min() < EIG_FLOOR:
+            raise NotDensityMatrix(f"eigenvalue {w.min():.3e} below floor {EIG_FLOOR:.0e}")
 
 
 def pure_density(state: TwoModeState) -> DensityMatrix:
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(rho, state.cutoff, n_modes=2, tail_mass=state.tail_mass)
+    return DensityMatrix(rho, state.cutoff, tail_mass=state.tail_mass)
 
 
 def check_phi(phi: float) -> None:
@@ -458,26 +455,9 @@ def input_state(
     return TwoModeState(psi, cutoff, tail_mass=tail)
 
 
-def expectation(state_or_density, operator: np.ndarray) -> complex:
-    """<O> for a TwoModeState, a DensityMatrix, or a raw vector/matrix."""
-    if isinstance(state_or_density, TwoModeState):
-        vec = state_or_density.amplitudes
-    elif isinstance(state_or_density, DensityMatrix):
-        mat = state_or_density.matrix
-        if operator.shape != mat.shape:
-            raise DimensionMismatch(
-                f"operator shape {operator.shape} vs density shape {mat.shape}"
-            )
-        return complex(np.trace(mat @ operator))
-    else:
-        arr = np.asarray(state_or_density)
-        if arr.ndim == 2:
-            if operator.shape != arr.shape:
-                raise DimensionMismatch(
-                    f"operator shape {operator.shape} vs matrix shape {arr.shape}"
-                )
-            return complex(np.trace(arr @ operator))
-        vec = arr
+def expectation(state: TwoModeState, operator: np.ndarray) -> complex:
+    """<psi|O|psi> of a two-mode state."""
+    vec = state.amplitudes
     if operator.shape != (vec.shape[0], vec.shape[0]):
         raise DimensionMismatch(
             f"operator shape {operator.shape} vs state dim {vec.shape[0]}"

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotDensityMatrix
 from .fock import (
+    EIG_FLOOR,
     DensityMatrix,
     FockCutoff,
     TwoModeState,
@@ -33,7 +34,6 @@ from .fock import (
 )
 
 EPS_RANK = 1e-12     # pair weight below this is treated as rank deficient
-EIG_FLOOR = -1e-8    # eigenvalues below this mean the matrix is not a state
 RITZ_START = 4       # heaviest branches spanning the first Ritz subspace
 RITZ_TOL = 1e-20     # trace a certified Ritz subspace may leave out
 
@@ -52,17 +52,11 @@ class GeneratorChoice:
         ops = schwinger_ops(cutoff)
         return ops.jy if self.which == "jy" else ops.jz
 
-    def diagonal(self, cutoff: FockCutoff) -> np.ndarray | None:
-        """Diagonal of the generator if it is diagonal in the number basis (J_z)."""
-        if self.which != "jz":
-            return None
-        return schwinger_ops(cutoff).jz_diagonal
-
     def apply(self, cutoff: FockCutoff, vecs: np.ndarray) -> np.ndarray:
         """G @ vecs without a dense G: J_z as the occupation diagonal, J_y
         through the a^dag b shift map."""
-        diag = self.diagonal(cutoff)
-        if diag is not None:
+        if self.which == "jz":
+            diag = schwinger_ops(cutoff).jz_diagonal
             return diag.reshape(diag.shape + (1,) * (vecs.ndim - 1)) * vecs
         src, tgt, weights = hop_map(two_mode_basis(cutoff), 0, 1)   # a^dag b
         weights = weights.reshape(weights.shape + (1,) * (vecs.ndim - 1))
@@ -109,13 +103,12 @@ class SpectralDecomposition:
         return int(np.count_nonzero(self.eigenvalues > eps))
 
 
-def spectral_decomposition(rho: np.ndarray, eig_floor: float = EIG_FLOOR
-                           ) -> SpectralDecomposition:
-    """Diagonalize a density matrix; negative weight beyond eig_floor is fatal."""
+def spectral_decomposition(rho: np.ndarray) -> SpectralDecomposition:
+    """Diagonalize a density matrix; negative weight beyond EIG_FLOOR is fatal."""
     w, v = np.linalg.eigh(rho)
-    if w.min() < eig_floor:
+    if w.min() < EIG_FLOOR:
         raise NotDensityMatrix(
-            f"eigenvalue {w.min():.3e} below floor {eig_floor:.0e}"
+            f"eigenvalue {w.min():.3e} below floor {EIG_FLOOR:.0e}"
         )
     w = np.clip(w, 0.0, None)
     order = np.argsort(w)[::-1]
@@ -218,13 +211,8 @@ def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
             f"generator shape {gen.shape} vs density shape {mat.shape}"
         )
     dec = spectral_decomposition(mat)
-    w, v = dec.eigenvalues, dec.eigenvectors
-    diag = np.diagonal(gen)
-    if np.count_nonzero(gen - np.diag(diag)) == 0:
-        g_rot = (v.conj().T * diag) @ v
-    else:
-        g_rot = v.conj().T @ gen @ v
-    value = _pair_sum(w, _abs2(g_rot), eps_rank)
+    v = dec.eigenvectors
+    value = _pair_sum(dec.eigenvalues, _abs2(v.conj().T @ gen @ v), eps_rank)
     return QfiResult(value, "spectral", tail_mass=tail, rank=dec.rank(eps_rank))
 
 
@@ -277,15 +265,17 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(singular)) ** 2
 
 
-def qfi_fidelity_estimate(rho, generator, delta: float = 1e-3) -> float:
+def qfi_fidelity_estimate(rho, generator) -> float:
     """Finite-difference QFI 8 (1 - sqrt(Fid(rho, rho_delta))) / delta^2.
 
-    Independent numerical route: rho_delta = e^{-i delta G} rho e^{i delta G}.
+    Independent numerical route: rho_delta = e^{-i delta G} rho e^{i delta G}
+    with delta = 1e-3.
     Agrees with qfi_mixed to O(delta^2) relative; used as a validation
     cross-check, not for production evaluation.
     """
     mat, _, cutoff = _as_matrix(rho)
     gen = _resolve_generator(generator, cutoff)
+    delta = 1e-3
     w, v = np.linalg.eigh(gen)
     u = (v * np.exp(-1j * delta * w)) @ v.conj().T
     shifted = u @ mat @ u.conj().T

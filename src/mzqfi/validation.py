@@ -396,7 +396,7 @@ def _fidelity_cross_check() -> float:
         rho = simulate.lossy_probe_density(0.3, 0.2, 1.0, T)
         jz = fock.schwinger_ops(rho.cutoff).jz
         spectral = qfi.qfi_mixed(rho, jz).value
-        fid = qfi.qfi_fidelity_estimate(rho, jz, delta=1e-3)
+        fid = qfi.qfi_fidelity_estimate(rho, jz)
         worst = max(worst, abs(spectral - fid) / abs(spectral))
     return worst
 

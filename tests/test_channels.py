@@ -9,7 +9,6 @@ import pytest
 from mzqfi import (
     BeamSplitterSpec,
     CatParams,
-    DimensionMismatch,
     DomainError,
     FockCutoff,
     LossSpec,
@@ -20,7 +19,6 @@ from mzqfi import (
     loss_kraus_coefficients,
     loss_kraus_operators,
     lowering_power,
-    partial_trace,
     phase_shift_unitary,
     pure_density,
     two_mode_basis,
@@ -44,7 +42,6 @@ def test_transmission_domain_message():
 def test_balanced_splitter_angle():
     spec = BeamSplitterSpec(0.5)
     assert spec.mixing_angle == pytest.approx(math.pi / 2.0)
-    assert spec.reflection == pytest.approx(0.5)
 
 
 def test_phase_shift_is_relative_phase():
@@ -98,16 +95,3 @@ def test_loss_preserves_state_properties():
 
 def test_loss_matches_ancilla_realization(assert_invariant):
     assert_invariant("kraus_vs_ancilla")
-
-
-def test_partial_trace_of_product_state():
-    state = input_state(0.4, 0.0, CatParams(0.5, 1.3), FockCutoff(14))
-    dm = pure_density(state)
-    for keep in ((0,), (1,)):
-        red = partial_trace(dm, keep)
-        assert red.matrix.shape == (15, 15)
-        assert red.trace().real == pytest.approx(1.0)
-        # product input: each reduced state stays pure up to truncation
-        assert red.purity() == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(DimensionMismatch):
-        partial_trace(dm, (0, 0))

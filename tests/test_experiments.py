@@ -29,12 +29,14 @@ from mzqfi import (
     lossless_moments,
     qfi_lossless,
     qfi_lossy,
+    qfi_lossy_max,
     qfi_lossy_parts,
     qfi_numeric,
     read_records,
     resolve_jobs,
     run_grid,
     scan_phi,
+    total_photon_number,
     write_records_csv,
     write_records_json,
 )
@@ -71,6 +73,10 @@ def test_sweep_grid_validation():
         SweepGrid(**{**ok, "T_grid": (1.5,)})
     with pytest.raises(DomainError):
         SweepGrid(**{**ok, "method": "magic"})
+    for bad in ({"alpha_values": (math.nan,)}, {"alpha_values": (math.inf,)},
+                {"omega_grid": (math.nan,)}):
+        with pytest.raises(DomainError, match="must be finite"):
+            SweepGrid(**{**ok, **bad})
 
 
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
@@ -87,6 +93,22 @@ def test_non_finite_phi_is_domain_error(phi):
                  lambda: evaluate_point(0.3, phi, 1.0, 0.5, method="analytic"),
                  lambda: evaluate_point(0.3, phi, 1.0, 1.0, method="both", n_max=12)):
         with pytest.raises(DomainError, match="phi must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("alpha", [-0.3, math.nan, math.inf, 1e160])
+def test_bad_alpha_is_domain_error(alpha):
+    for call in (lambda: qfi_lossless(alpha, 0.2, 1.0),
+                 lambda: qfi_lossy(alpha, 0.2, 1.0, 0.5),
+                 lambda: qfi_lossy_max(alpha, 1.0, 0.5),
+                 lambda: analytic.qfi_lossy_even(alpha, 0.2, 0.5),
+                 lambda: qfi_lossy_parts(alpha, 0.2, 1.0, 0.5),
+                 lambda: lossless_moments(alpha, 0.2, 1.0),
+                 lambda: branch_amplitudes(alpha, 0.2, 0.5),
+                 lambda: branch_jz_moments(alpha, 0.2, 0.5),
+                 lambda: total_photon_number(alpha, 1.0),
+                 lambda: evaluate_point(alpha, 0.2, 1.0, 0.5, method="analytic")):
+        with pytest.raises(DomainError, match="alpha must be"):
             call()
 
 
