@@ -41,7 +41,7 @@ from .fock import (
     two_mode_basis,
 )
 from .channels import (
-    PRUNE_NORM,
+    PRUNE_MASS,
     BeamSplitterSpec,
     LossSpec,
     beam_splitter_unitary,

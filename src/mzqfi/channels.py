@@ -25,8 +25,9 @@ from .fock import (
     schwinger_ops,
     two_mode_basis,
 )
+from .qfi import RITZ_TOL
 
-PRUNE_NORM = 1e-30   # Kraus branches below this squared norm are dropped
+PRUNE_MASS = RITZ_TOL / 2   # summed squared norm of the lightest Kraus branches dropped
 
 
 def check_transmission(T: float) -> None:
@@ -159,15 +160,18 @@ def loss_kraus_operators(basis: FockBasis, mode: int, spec: LossSpec
     return ops
 
 
-def loss_fan_out(psi: np.ndarray, basis: FockBasis, T: float) -> np.ndarray:
+def loss_fan_out(psi: np.ndarray, basis: FockBasis, T: float
+                 ) -> tuple[np.ndarray, float]:
     """Loss of transmission T on both arms of a pure two-mode vector, as the
-    stack of its Kraus branches K_k^A K_l^B psi.
+    stack of its Kraus branches K_k^A K_l^B psi, plus the squared norm of
+    the branches left out.
 
     The squared norm of every branch is read off |psi|^2 on the (n_A, n_B)
-    occupation grid before any branch is formed; branches below PRUNE_NORM
-    are dropped and the rest come in row-major (k, l) order, the order of a
-    fan-out over arm A then arm B.  The survivors are one gather from the
-    zero-padded grid, weighted by arm A, then by arm B.
+    occupation grid before any branch is formed.  The lightest branches,
+    as many as together weigh at most PRUNE_MASS, are dropped; the rest
+    come in row-major (k, l) order, the order of a fan-out over arm A then
+    arm B.  The survivors are one gather from the zero-padded grid,
+    weighted by arm A, then by arm B.
     """
     n = basis.n_max
     n_a, n_b = basis.occupations.T
@@ -177,15 +181,18 @@ def loss_fan_out(psi: np.ndarray, basis: FockBasis, T: float) -> np.ndarray:
     coef = loss_kraus_coefficients(n, T)
     sq = coef * coef
     held = grid[: n + 1, : n + 1]
-    norms = sq @ (held.real**2 + held.imag**2) @ sq.T   # norms[k, l]
-    k, l = np.divmod(np.flatnonzero(norms >= PRUNE_NORM), n + 1)
+    norms = (sq @ (held.real**2 + held.imag**2) @ sq.T).ravel()   # norms[k, l]
+    lightest = np.argsort(norms, kind="stable")
+    light_mass = np.cumsum(norms[lightest])
+    dropped = int(np.searchsorted(light_mass, PRUNE_MASS, side="right"))
+    k, l = np.divmod(np.sort(lightest[dropped:]), n + 1)
     branches = np.take(grid, (k * width + l)[:, None] + (n_a * width + n_b))
     # after[j, m] = coef[j, m + j]: the weight of K_j by the occupation it leaves
     steps = np.arange(n + 1)
     after = np.pad(coef, ((0, 0), (0, n)))[steps[:, None], steps + steps[:, None]]
     branches *= after[:, n_a][k]
     branches *= after[:, n_b][l]
-    return branches
+    return branches, float(light_mass[dropped - 1]) if dropped else 0.0
 
 
 def apply_loss(rho: np.ndarray, basis: FockBasis, mode: int, spec: LossSpec

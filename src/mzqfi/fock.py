@@ -236,9 +236,15 @@ def schwinger_ops(cutoff: FockCutoff) -> SchwingerOps:
 
 
 def coherent_sequence(gamma: complex, n_max: int) -> np.ndarray:
-    """Exact amplitudes c_n = exp(-|gamma|^2/2) gamma^n / sqrt(n!), n = 0..n_max."""
+    """Exact amplitudes c_n = exp(-|gamma|^2/2) gamma^n / sqrt(n!), n = 0..n_max.
+
+    Raises DomainError when |gamma|^2 is not finite.
+    """
+    mod_sq = abs(gamma) * abs(gamma)
+    if not math.isfinite(mod_sq):
+        raise DomainError(f"amplitudes are not finite: |gamma|^2 = {mod_sq!r}")
     c = np.empty(n_max + 1, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(gamma) ** 2)
+    c[0] = math.exp(-0.5 * mod_sq)
     for n in range(1, n_max + 1):
         c[n] = c[n - 1] * gamma / math.sqrt(n)
     return c
@@ -359,12 +365,14 @@ class DensityMatrix:
     of branch vectors: rho = sum_r |b_r><b_r| = branches.T @ branches.conj()
     over the rows b_r.  A branch-backed density forms its dense `matrix` on
     first access; `qfi_mixed` works on the branches without it.
+    `pruned_mass` is the trace of the branches left out of the stack.
     """
 
     _dense: np.ndarray | None
     cutoff: FockCutoff
     tail_mass: float = 0.0
     branches: np.ndarray | None = None
+    pruned_mass: float = 0.0
 
     def __post_init__(self):
         if (self._dense is None) == (self.branches is None):
@@ -385,8 +393,9 @@ class DensityMatrix:
 
     @classmethod
     def from_branches(cls, branches: np.ndarray, cutoff: FockCutoff,
-                      tail_mass: float = 0.0) -> DensityMatrix:
-        return cls(None, cutoff, tail_mass, np.ascontiguousarray(branches, dtype=complex))
+                      tail_mass: float, pruned_mass: float) -> DensityMatrix:
+        return cls(None, cutoff, tail_mass, np.ascontiguousarray(branches, dtype=complex),
+                   pruned_mass)
 
     @property
     def matrix(self) -> np.ndarray:

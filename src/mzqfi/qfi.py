@@ -123,7 +123,7 @@ class QfiResult:
     method: str            # "pure" or "spectral"
     tail_mass: float = 0.0
     rank: int | None = None
-    discarded_weight: float = 0.0   # trace of rho outside the eigensolved subspace
+    discarded_weight: float = 0.0   # Ritz residual + pruned mass: bounds the trace left out
 
 
 def _as_matrix(rho) -> tuple[np.ndarray, float, FockCutoff | None]:
@@ -165,15 +165,18 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _ritz_pairs(branches: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _ritz_pairs(branches: np.ndarray, pruned_mass: float
+                ) -> tuple[np.ndarray, np.ndarray, float]:
     """Rayleigh-Ritz pairs of rho = branches.T @ branches.conj() on the span
-    of its heaviest branches, and the trace of rho outside that span.
+    of its heaviest branches, and a bound on the trace of rho outside it.
 
-    The span starts at the RITZ_START heaviest branches and doubles until
-    the weight it leaves out is at most RITZ_TOL; at the full stack it holds
-    the support of rho, so the Ritz pairs are its eigenpairs.  The weight is
-    the squared norm of the branches' residual outside the span, which does
-    not cancel the way Tr rho - Tr(Q^dag rho Q) does.
+    The branches stand for a density whose other branches, of total trace
+    `pruned_mass`, were never formed.  The span starts at the RITZ_START
+    heaviest branches and doubles until the weight it leaves out, plus
+    `pruned_mass`, is at most RITZ_TOL; at the full stack it holds the
+    support of the stack, so the Ritz pairs are its eigenpairs.  The weight
+    is the squared norm of the branches' residual outside the span, which
+    does not cancel the way Tr rho - Tr(Q^dag rho Q) does.
     """
     pairs = branches.view(float)
     heaviest = np.argsort(-np.einsum("ij,ij->i", pairs, pairs), kind="stable")
@@ -183,7 +186,7 @@ def _ritz_pairs(branches: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         c = branches @ q.conj()       # row r: coordinates of branch r in the span
         residual = c @ q.T
         residual -= branches
-        discarded = float(np.vdot(residual, residual).real)
+        discarded = float(np.vdot(residual, residual).real) + pruned_mass
         if discarded <= RITZ_TOL or k >= len(branches):
             break
         k *= 2
@@ -217,7 +220,7 @@ def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
 
 
 def _qfi_factored(rho: DensityMatrix, generator, eps_rank: float) -> QfiResult:
-    p, w, discarded = _ritz_pairs(rho.branches)
+    p, w, discarded = _ritz_pairs(rho.branches, rho.pruned_mass)
     gw = _apply_generator(generator, rho.cutoff, w)
     g_abs2 = _abs2(w.conj().T @ gw)
     complement = _abs2(gw).sum(axis=0) - g_abs2.sum(axis=1)

@@ -108,9 +108,8 @@ def lossy_probe_density(
     """Mixed probe after the first splitter and per-arm loss, held as its
     branch stack (one row per surviving Kraus pair)."""
     state = probe_state(alpha, phi, omega, cutoff, tol_tail)
-    branches = loss_fan_out(_split(state), state.basis, transmission)
-    return DensityMatrix.from_branches(branches, state.cutoff,
-                                       tail_mass=state.tail_mass)
+    branches, pruned = loss_fan_out(_split(state), state.basis, transmission)
+    return DensityMatrix.from_branches(branches, state.cutoff, state.tail_mass, pruned)
 
 
 def qfi_numeric(

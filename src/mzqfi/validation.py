@@ -369,16 +369,20 @@ def _rank_cutoff_stability() -> float:
 def _factored_vs_dense() -> float:
     """Largest |qfi_numeric - dense oracle| / |F| of the lossy probe, n_max <= 24.
 
-    The production route solves the branch stack on its Ritz subspace; the
-    oracle diagonalizes the formed density in full.  A rank mismatch counts
-    as an infinite deviation.
+    The production route solves the pruned branch stack on its Ritz
+    subspace; the oracle splits the probe with the dense splitter unitary,
+    applies the dense Kraus channel, which prunes nothing, and diagonalizes
+    the result in full.  A rank mismatch counts as an infinite deviation.
     """
     worst = 0.0
     for alpha in (0.05, 0.8, 1.5):
         cutoff = fock.FockCutoff(min(simulate.probe_cutoff(alpha).n_max, 24))
         jz = fock.schwinger_ops(cutoff).jz
+        split = channels.beam_splitter_unitary(channels.BeamSplitterSpec(0.5), cutoff)
         for omega, T in itertools.product((0.0, 1.0, math.pi), (0.0, 0.37, 0.83)):
-            dense = simulate.lossy_probe_density(alpha, 0.3, omega, T, cutoff).matrix
+            probe = simulate.probe_state(alpha, 0.3, omega, cutoff)
+            pure = fock.pure_density(fock.TwoModeState(split @ probe.amplitudes, cutoff))
+            dense = channels.loss_channel(pure, channels.LossSpec(T)).matrix
             for eps in (qfi.EPS_RANK, 0.4):
                 got = simulate.qfi_numeric(alpha, 0.3, omega, T, cutoff, eps_rank=eps)
                 ref = qfi.qfi_mixed(dense, jz, eps_rank=eps)

@@ -129,7 +129,12 @@ def test_cat_parity():
     lambda: coherent_amplitudes(math.nan, FockCutoff(4)),
     lambda: probe_state(0.3, math.nan, 0.0),
     lambda: qfi_numeric(0.3, math.nan, 0.0, 0.5),
-], ids=["input_state", "coherent_amplitudes", "probe_state", "qfi_numeric"])
+    lambda: input_state(1e160, 0.0, CatParams(0.3, 0.0), FockCutoff(5)),
+    lambda: coherent_amplitudes(1e160, FockCutoff(5)),
+    lambda: coherent_amplitudes(1e160 + 0j, FockCutoff(5)),
+], ids=["input_state", "coherent_amplitudes", "probe_state", "qfi_numeric",
+        "input_state_overflow", "coherent_amplitudes_overflow",
+        "complex_amplitude_overflow"])
 def test_non_finite_amplitudes_are_domain_errors(build):
     with pytest.raises(DomainError, match="amplitudes are not finite"):
         build()

@@ -165,7 +165,7 @@ def test_factored_route_widens_to_a_rank_12_stack():
     directions = rng.normal(size=(12, dim)) + 1j * rng.normal(size=(12, dim))
     branches = (rng.normal(size=(30, 12)) * np.geomspace(1.0, 1e-3, 12)) @ directions
     branches /= np.linalg.norm(branches)
-    rho = DensityMatrix.from_branches(branches, cutoff)
+    rho = DensityMatrix.from_branches(branches, cutoff, 0.0, 0.0)
     heaviest = branches[np.argsort(-np.linalg.norm(branches, axis=1))[:4]]
     q, _ = np.linalg.qr(heaviest.T)
     assert np.linalg.norm(branches - (branches @ q.conj()) @ q.T) ** 2 > 1e-3
@@ -184,15 +184,15 @@ def test_factored_route_widens_to_a_rank_12_stack():
 def test_branch_backed_density_checks_its_stack():
     cutoff = FockCutoff(2)
     with pytest.raises(DimensionMismatch):
-        DensityMatrix.from_branches(np.ones((3, 5)), cutoff)
+        DensityMatrix.from_branches(np.ones((3, 5)), cutoff, 0.0, 0.0)
     with pytest.raises(DimensionMismatch):
-        DensityMatrix.from_branches(np.ones(6), cutoff)
+        DensityMatrix.from_branches(np.ones(6), cutoff, 0.0, 0.0)
     with pytest.raises(DimensionMismatch):
         DensityMatrix(np.eye(6), cutoff, branches=np.ones((1, 6)))
     with pytest.raises(DimensionMismatch):
         DensityMatrix(None, cutoff)
     with pytest.raises(NotDensityMatrix):
-        DensityMatrix.from_branches(np.zeros((0, 6)), cutoff)
+        DensityMatrix.from_branches(np.zeros((0, 6)), cutoff, 0.0, 0.0)
     stack = np.arange(12.0).reshape(2, 6) + 1j
-    rho = DensityMatrix.from_branches(stack, cutoff)
+    rho = DensityMatrix.from_branches(stack, cutoff, 0.0, 0.0)
     np.testing.assert_array_equal(rho.matrix, stack.T @ stack.conj())

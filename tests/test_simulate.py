@@ -11,10 +11,11 @@ import mzqfi.channels as channels
 import mzqfi.fock as fock
 import mzqfi.simulate as simulate
 from mzqfi import (
-    PRUNE_NORM,
+    PRUNE_MASS,
     CatParams,
     DomainError,
     FockCutoff,
+    GeneratorChoice,
     LossSpec,
     LossyRho2x2,
     TailTooLarge,
@@ -105,14 +106,19 @@ def test_kraus_fan_out_matches_density_loss_channel():
                             rho.cutoff)
         ref = loss_channel(pure_density(pure), LossSpec(T))
         np.testing.assert_allclose(rho.matrix, ref.matrix, rtol=0, atol=1e-13)
-    # rows: K_k^A K_l^B psi of squared norm >= PRUNE_NORM, in (k, l) order;
-    # arm B's dense Kraus matrices are freed before arm A's are built
+    # rows: K_k^A K_l^B psi in (k, l) order, less the lightest ones that
+    # together weigh at most PRUNE_MASS; arm B's dense Kraus matrices are
+    # freed before arm A's are built
     rho = lossy_probe_density(*bright)
     basis, spec = rho.basis, LossSpec(bright[3])
     psi = _dense_split(probe_state(*bright[:3], rho.cutoff))
     arm_b = [K @ psi for K in loss_kraus_operators(basis, 1, spec)]
     products = [K @ v for K in loss_kraus_operators(basis, 0, spec) for v in arm_b]
-    kept = [v for v in products if np.vdot(v, v).real >= PRUNE_NORM]
+    norms = np.array([np.vdot(v, v).real for v in products])
+    lightest = np.argsort(norms, kind="stable")
+    light_mass = np.cumsum(norms[lightest])
+    dropped = set(lightest[: np.searchsorted(light_mass, PRUNE_MASS, side="right")])
+    kept = [v for i, v in enumerate(products) if i not in dropped]
     assert len(kept) < len(products)
     assert rho.branches.shape == (len(kept), basis.dim)
     np.testing.assert_allclose(rho.branches, np.array(kept), rtol=0, atol=1e-15)
@@ -209,3 +215,19 @@ def test_lossy_density_is_held_as_its_branch_stack():
     assert branches.shape[1] == two_mode_basis(rho.cutoff).dim
     np.testing.assert_array_equal(rho.matrix, branches.T @ branches.conj())
     assert qfi_numeric(0.3, 0.1, 1.0, 0.5).discarded_weight <= RITZ_TOL
+
+
+def test_pruned_mass_is_bounded_and_certified():
+    # the dropped branches' trace stays within PRUNE_MASS and is part of
+    # the discarded weight the Ritz certificate reports
+    rng = np.random.default_rng(1111)
+    pruned = []
+    for alpha in rng.uniform(0.05, 1.5, size=6):
+        phi, omega = rng.uniform(-math.pi / 2, math.pi / 2), rng.uniform(0.0, math.pi)
+        for T in (0.0, 0.37, 0.83, 0.999):
+            rho = lossy_probe_density(alpha, phi, omega, T)
+            result = qfi_mixed(rho, GeneratorChoice("jz"))
+            assert rho.pruned_mass <= PRUNE_MASS
+            assert rho.pruned_mass <= result.discarded_weight <= RITZ_TOL
+            pruned.append(rho.pruned_mass)
+    assert max(pruned) > 0.0
