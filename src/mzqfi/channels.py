@@ -20,7 +20,7 @@ from .fock import (
     FockCutoff,
     TwoModeState,
     fock_basis,
-    hop_operator,
+    hop_map,
     lowering_map,
     schwinger_ops,
     two_mode_basis,
@@ -65,7 +65,7 @@ class LossSpec:
         check_transmission(self.transmission)
 
 
-def number_conserving_expm(basis: FockBasis, herm: np.ndarray, scale: float = 1.0
+def number_conserving_expm(basis: FockBasis, herm: np.ndarray, scale: float
                            ) -> np.ndarray:
     """exp(1j * scale * herm) for a Hermitian, number-conserving matrix.
 
@@ -87,15 +87,26 @@ def hermitian_expm(herm: np.ndarray, scale: float) -> np.ndarray:
     return (v * np.exp(1j * scale * w)) @ v.conj().T
 
 
-def pair_jx(basis: FockBasis, mode_i: int, mode_j: int) -> np.ndarray:
-    """(a_i^dag a_j + a_j^dag a_i)/2 on an m-mode basis."""
-    hop = hop_operator(basis, mode_i, mode_j)
-    return 0.5 * (hop + hop.conj().T)
+def splitter_blocks(basis: FockBasis, mode_i: int, mode_j: int, angle: float
+                    ) -> tuple[np.ndarray, ...]:
+    """Blocks of exp(i angle (a_i^dag a_j + a_j^dag a_i)/2), one read-only
+    unitary per total photon number, each from the block's slice of hop_map."""
+    src, tgt, weights = hop_map(basis, mode_i, mode_j)   # src in basis order
+    blocks = []
+    for blk in basis.block_slices:
+        lo, hi = np.searchsorted(src, (blk.start, blk.stop))
+        size = blk.stop - blk.start
+        hop = np.zeros((size, size), dtype=complex)
+        hop[tgt[lo:hi] - blk.start, src[lo:hi] - blk.start] = weights[lo:hi]
+        u = hermitian_expm(0.5 * (hop + hop.conj().T), angle)
+        u.setflags(write=False)
+        blocks.append(u)
+    return tuple(blocks)
 
 
 def beam_splitter_unitary(spec: BeamSplitterSpec, cutoff: FockCutoff) -> np.ndarray:
-    basis = two_mode_basis(cutoff)
-    return number_conserving_expm(basis, pair_jx(basis, 0, 1), spec.mixing_angle)
+    return number_conserving_expm(two_mode_basis(cutoff), schwinger_ops(cutoff).jx,
+                                  spec.mixing_angle)
 
 
 def phase_shift_unitary(theta: float, cutoff: FockCutoff) -> np.ndarray:
@@ -195,26 +206,18 @@ def loss_fan_out(psi: np.ndarray, basis: FockBasis, T: float
     return branches, float(light_mass[dropped - 1]) if dropped else 0.0
 
 
-def apply_loss(rho: np.ndarray, basis: FockBasis, mode: int, spec: LossSpec
-               ) -> np.ndarray:
-    """sum_k K_k rho K_k^dag for photon loss on one mode."""
-    if rho.shape != (basis.dim, basis.dim):
-        raise DimensionMismatch(
-            f"matrix shape {rho.shape} does not fit basis dim {basis.dim}"
-        )
-    out = np.zeros_like(rho, dtype=complex)
-    for src, tgt, w in _kraus_maps(basis, mode, spec.transmission):
-        out[np.ix_(tgt, tgt)] += (w[:, None] * w[None, :]) * rho[np.ix_(src, src)]
-    return out
-
-
 def loss_channel(dm: DensityMatrix, spec: LossSpec) -> DensityMatrix:
-    """Equal photon loss on both arms, Kraus route (the two maps commute)."""
-    basis = dm.basis
-    out = apply_loss(dm.matrix, basis, 0, spec)
-    out = apply_loss(out, basis, 1, spec)
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, dm.cutoff, tail_mass=dm.tail_mass)
+    """Equal photon loss on both arms, Kraus route: every Kraus operator of
+    arm A, then of arm B, applied to every branch, with nothing pruned."""
+    rows = dm.branches
+    for mode in (0, 1):
+        fanned = []
+        for src, tgt, w in _kraus_maps(dm.basis, mode, spec.transmission):
+            branch = np.zeros_like(rows)
+            branch[:, tgt] = w * rows[:, src]
+            fanned.append(branch)
+        rows = np.concatenate(fanned)
+    return DensityMatrix(rows, dm.cutoff, dm.tail_mass, dm.pruned_mass)
 
 
 @lru_cache(maxsize=None)
@@ -237,8 +240,9 @@ def loss_channel_ancilla(state: TwoModeState, spec: LossSpec) -> DensityMatrix:
 
     Embeds the two-mode state in a four-mode basis (ancillas in vacuum),
     couples arm A to ancilla C and arm B to ancilla D through splitters of
-    transmission T, and traces the ancillas out.  Agrees with the Kraus
-    route up to roundoff; kept as an independent realization.
+    transmission T, and traces the ancillas out: each ancilla group is one
+    branch.  Agrees with the Kraus route up to roundoff; kept as an
+    independent realization.
     """
     n_max = state.cutoff.n_max
     big = fock_basis(4, n_max)
@@ -247,12 +251,10 @@ def loss_channel_ancilla(state: TwoModeState, spec: LossSpec) -> DensityMatrix:
     psi4[big.lookup(np.pad(occ, ((0, 0), (0, 2))))] = state.amplitudes
     angle = BeamSplitterSpec(spec.transmission).mixing_angle
     for arm, ancilla in ((0, 2), (1, 3)):
-        jx = pair_jx(big, arm, ancilla)
-        for blk in big.block_slices:
-            psi4[blk] = hermitian_expm(jx[blk, blk], angle) @ psi4[blk]
-    # partial trace of a pure state: each ancilla group adds one outer product
-    rho = np.zeros((state.basis.dim,) * 2, dtype=complex)
-    for ii, ki in _ancilla_groups(n_max):
-        chunk = psi4[ii]
-        rho[np.ix_(ki, ki)] += np.outer(chunk, chunk.conj())
-    return DensityMatrix(rho, state.cutoff, tail_mass=state.tail_mass)
+        for u, blk in zip(splitter_blocks(big, arm, ancilla, angle), big.block_slices):
+            psi4[blk] = u @ psi4[blk]
+    groups = _ancilla_groups(n_max)
+    rows = np.zeros((len(groups), state.basis.dim), dtype=complex)
+    for row, (ii, ki) in zip(rows, groups):
+        row[ki] = psi4[ii]
+    return DensityMatrix(rows, state.cutoff, state.tail_mass, 0.0)

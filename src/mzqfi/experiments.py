@@ -93,6 +93,8 @@ class SweepGrid:
             raise DomainError("omega must lie in [0, pi)")
         check_transmission(self.T_grid[0])
         check_transmission(self.T_grid[-1])
+        if self.n_max is not None:
+            FockCutoff(self.n_max)
         if self.method not in _METHODS:
             raise DomainError(f"method must be one of {_METHODS}")
 
@@ -477,6 +479,14 @@ def write_records_json(path: str, records, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _is_cell(value) -> bool:
+    """A record cell: null or a finite number; a boolean is not a number here."""
+    if isinstance(value, bool):
+        return False
+    return value is None or isinstance(value, int) or (
+        isinstance(value, float) and math.isfinite(value))
+
+
 def _csv_record(path: str, line: int, row: list[str]) -> SweepRecord:
     if len(row) != len(CSV_COLUMNS):
         raise DomainError(f"{path}, line {line}: {len(row)} cells, "
@@ -485,14 +495,17 @@ def _csv_record(path: str, line: int, row: list[str]) -> SweepRecord:
         vals = [None if cell == "" else float(cell) for cell in row]
     except ValueError as exc:
         raise DomainError(f"{path}, line {line}: {exc}") from None
+    if not all(map(_is_cell, vals)):
+        raise DomainError(f"{path}, line {line}: cells must be finite, got {row}")
     return SweepRecord(**dict(zip(CSV_COLUMNS, vals)))
 
 
 def read_records(path: str) -> tuple[list[SweepRecord], dict | None]:
     """Round-trip reader for both output formats.
 
-    A record with a missing or extra column, or a cell that is not a
-    number, raises DomainError naming the path and the record.
+    A JSON record that is not an object, a record with a missing or extra
+    column, or a cell that is not a finite number (booleans, NaN and
+    infinities included), raises DomainError naming the path and the record.
     """
     if path.endswith(".json"):
         with open(path) as fh:
@@ -501,11 +514,13 @@ def read_records(path: str) -> tuple[list[SweepRecord], dict | None]:
                 rows = payload["records"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise DomainError(f"{path}: no records list ({exc!r})") from None
+        if not isinstance(rows, list):
+            raise DomainError(f"{path}: no records list (got {type(rows).__name__})")
         records = []
         for i, row in enumerate(rows):
-            if set(row) != set(CSV_COLUMNS) or not all(
-                    v is None or isinstance(v, (int, float)) for v in row.values()):
-                raise DomainError(f"{path}, record {i}: expected a number or null "
+            if (not isinstance(row, dict) or set(row) != set(CSV_COLUMNS)
+                    or not all(map(_is_cell, row.values()))):
+                raise DomainError(f"{path}, record {i}: expected a finite number or null "
                                   f"for each of {list(CSV_COLUMNS)}, got {row}")
             records.append(SweepRecord(**row))
         return records, payload.get("meta")

@@ -11,9 +11,10 @@ EPS_RANK; zero-weight pairs carry no information and would divide 0 by 0.
 The pair form avoids differentiating eigenvectors; the rearrangement from
 the derivative form is recorded in docs/formulas.md.
 
-A dense density is diagonalized in full.  A density held as a stack of
-branch vectors is solved on the small subspace its heaviest branches span,
-with the pairs reaching outside that subspace summed in closed form.
+A `DensityMatrix`, a stack of branch vectors, is solved on the small
+subspace its heaviest branches span, with the pairs reaching outside that
+subspace summed in closed form.  A raw dense array is diagonalized in full,
+as the oracle of that route.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotDensityMatrix
 from .fock import (
-    EIG_FLOOR,
     DensityMatrix,
     FockCutoff,
     TwoModeState,
@@ -34,6 +34,7 @@ from .fock import (
 )
 
 EPS_RANK = 1e-12     # pair weight below this is treated as rank deficient
+EIG_FLOOR = -1e-8    # density eigenvalues below this mean the matrix is not a state
 RITZ_START = 4       # heaviest branches spanning the first Ritz subspace
 RITZ_TOL = 1e-20     # trace a certified Ritz subspace may leave out
 
@@ -126,12 +127,6 @@ class QfiResult:
     discarded_weight: float = 0.0   # Ritz residual + pruned mass: bounds the trace left out
 
 
-def _as_matrix(rho) -> tuple[np.ndarray, float, FockCutoff | None]:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix, rho.tail_mass, rho.cutoff
-    return np.asarray(rho, dtype=complex), 0.0, None
-
-
 def check_eps_rank(eps_rank: float) -> None:
     """Raise DomainError unless eps_rank is finite and non-negative.
 
@@ -198,17 +193,17 @@ def _ritz_pairs(branches: np.ndarray, pruned_mass: float
 def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
     """Spectral-sum QFI of a mixed probe under generator G.
 
-    A dense density is diagonalized in full.  A branch-backed one
-    (`DensityMatrix.from_branches`) is solved on the Ritz subspace of its
-    branches: the pair sum over the Ritz pairs plus the exact complement
-    term 4 sum_{p_i > eps_rank} p_i (<i|G^2|i> - sum_{j in Ritz} |G_ij|^2)
-    (docs/formulas.md, "Factored spectral sum").
+    A `DensityMatrix` is solved on the Ritz subspace of its branches: the
+    pair sum over the Ritz pairs plus the exact complement term
+    4 sum_{p_i > eps_rank} p_i (<i|G^2|i> - sum_{j in Ritz} |G_ij|^2)
+    (docs/formulas.md, "Factored spectral sum").  A raw array is
+    diagonalized in full and needs a matrix generator.
     """
     check_eps_rank(eps_rank)
-    if isinstance(rho, DensityMatrix) and rho.branches is not None:
+    if isinstance(rho, DensityMatrix):
         return _qfi_factored(rho, generator, eps_rank)
-    mat, tail, cutoff = _as_matrix(rho)
-    gen = _resolve_generator(generator, cutoff)
+    mat = np.asarray(rho, dtype=complex)
+    gen = _resolve_generator(generator, None)
     if gen.shape != mat.shape:
         raise DimensionMismatch(
             f"generator shape {gen.shape} vs density shape {mat.shape}"
@@ -216,7 +211,7 @@ def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
     dec = spectral_decomposition(mat)
     v = dec.eigenvectors
     value = _pair_sum(dec.eigenvalues, _abs2(v.conj().T @ gen @ v), eps_rank)
-    return QfiResult(value, "spectral", tail_mass=tail, rank=dec.rank(eps_rank))
+    return QfiResult(value, "spectral", rank=dec.rank(eps_rank))
 
 
 def _qfi_factored(rho: DensityMatrix, generator, eps_rank: float) -> QfiResult:
@@ -231,14 +226,16 @@ def _qfi_factored(rho: DensityMatrix, generator, eps_rank: float) -> QfiResult:
                      rank=int(np.count_nonzero(kept)), discarded_weight=discarded)
 
 
-def qfi_unitary_invariance_check(rho, generator, unitary: np.ndarray) -> float:
-    """|F(rho, G) - F(U rho U^dag, U G U^dag)| for a theta-independent U.
+def qfi_unitary_invariance_check(rho: DensityMatrix, generator, unitary: np.ndarray
+                                 ) -> float:
+    """|F(rho, G) - F(U rho U^dag, U G U^dag)| for a theta-independent U,
+    both on the dense route.
 
     Zero up to roundoff; this is why a fixed second beam splitter can be
     dropped from the lossy pipeline.
     """
-    mat, _, cutoff = _as_matrix(rho)
-    gen = _resolve_generator(generator, cutoff)
+    mat = rho.matrix
+    gen = _resolve_generator(generator, rho.cutoff)
     base = qfi_mixed(mat, gen).value
     rot = qfi_mixed(
         unitary @ mat @ unitary.conj().T,
@@ -247,40 +244,32 @@ def qfi_unitary_invariance_check(rho, generator, unitary: np.ndarray) -> float:
     return abs(base - rot)
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    # eigenvalues at roundoff level would inflate to sqrt(eps) under the
-    # square root; zero them so they cannot pollute near-unity fidelities
-    w[w < np.max(w, initial=0.0) * 1e-13] = 0.0
-    return (v * np.sqrt(w)) @ v.conj().T
+def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of two branch stacks.
 
-
-def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 for PSD rho, sigma.
-
-    Evaluated as the squared nuclear norm of sqrt(sigma) sqrt(rho); the
-    singular values are the eigenvalues of the conventional inner square
-    root, computed without the accuracy loss of squaring first.
+    With rho = A A^dag and sigma = C C^dag (A = rho.branches.T), the trace
+    is the nuclear norm of A^dag C = conj(B_rho) B_sigma^T: the sum of the
+    singular values of the branches' overlap matrix (docs/formulas.md,
+    "Fidelity from branch overlaps").  No square root of either density is
+    formed.
     """
-    root_r = _psd_sqrt(np.asarray(rho, dtype=complex))
-    root_s = _psd_sqrt(np.asarray(sigma, dtype=complex))
-    singular = np.linalg.svd(root_s @ root_r, compute_uv=False)
-    return float(np.sum(singular)) ** 2
+    overlaps = rho.branches.conj() @ sigma.branches.T
+    return float(np.sum(np.linalg.svd(overlaps, compute_uv=False))) ** 2
 
 
-def qfi_fidelity_estimate(rho, generator) -> float:
+def qfi_fidelity_estimate(rho: DensityMatrix, generator) -> float:
     """Finite-difference QFI 8 (1 - sqrt(Fid(rho, rho_delta))) / delta^2.
 
     Independent numerical route: rho_delta = e^{-i delta G} rho e^{i delta G}
-    with delta = 1e-3.
+    with delta = 1e-3, formed by rotating each branch.
     Agrees with qfi_mixed to O(delta^2) relative; used as a validation
     cross-check, not for production evaluation.
     """
-    mat, _, cutoff = _as_matrix(rho)
-    gen = _resolve_generator(generator, cutoff)
+    gen = _resolve_generator(generator, rho.cutoff)
     delta = 1e-3
     w, v = np.linalg.eigh(gen)
     u = (v * np.exp(-1j * delta * w)) @ v.conj().T
-    shifted = u @ mat @ u.conj().T
-    fid = uhlmann_fidelity(mat, shifted)
-    return 8.0 * (1.0 - math.sqrt(max(fid, 0.0))) / (delta * delta)
+    shifted = DensityMatrix(rho.branches @ u.T, rho.cutoff, rho.tail_mass,
+                            rho.pruned_mass)
+    fid = uhlmann_fidelity(rho, shifted)
+    return 8.0 * (1.0 - math.sqrt(fid)) / (delta * delta)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import hermitian_expm, loss_fan_out
+from .channels import loss_fan_out, splitter_blocks
 from .fock import (
     EPS_TAIL,
     CatParams,
@@ -30,7 +30,6 @@ from .fock import (
     check_affordable,
     default_cutoff,
     fock_basis,
-    hop_map,
     input_state,
 )
 from .qfi import (
@@ -62,19 +61,8 @@ def _affordable_cutoff(alpha: float, cutoff: FockCutoff | None) -> FockCutoff:
 @lru_cache(maxsize=None)
 def _first_splitter(n_max: int) -> tuple[np.ndarray, ...]:
     """Blocks of exp(i (pi/2) J_x), one (N+1) x (N+1) unitary per total
-    photon number N, each from the block's tridiagonal J_x."""
-    basis = fock_basis(2, n_max)
-    src, tgt, weights = hop_map(basis, 0, 1)   # a^dag b, src in basis order
-    blocks = []
-    for blk in basis.block_slices:
-        lo, hi = np.searchsorted(src, (blk.start, blk.stop))
-        size = blk.stop - blk.start
-        hop = np.zeros((size, size), dtype=complex)
-        hop[tgt[lo:hi] - blk.start, src[lo:hi] - blk.start] = weights[lo:hi]
-        u = hermitian_expm(0.5 * (hop + hop.conj().T), math.pi / 2.0)
-        u.setflags(write=False)
-        blocks.append(u)
-    return tuple(blocks)
+    photon number N."""
+    return splitter_blocks(fock_basis(2, n_max), 0, 1, math.pi / 2.0)
 
 
 def _split(state: TwoModeState) -> np.ndarray:
@@ -109,7 +97,7 @@ def lossy_probe_density(
     branch stack (one row per surviving Kraus pair)."""
     state = probe_state(alpha, phi, omega, cutoff, tol_tail)
     branches, pruned = loss_fan_out(_split(state), state.basis, transmission)
-    return DensityMatrix.from_branches(branches, state.cutoff, state.tail_mass, pruned)
+    return DensityMatrix(branches, state.cutoff, state.tail_mass, pruned)
 
 
 def qfi_numeric(

@@ -293,7 +293,7 @@ def _branch_moments() -> float:
               + _uniform_points(505, 50, (0.1, 1.2), _PHI_RANGE, (0.05, 1.0)))
     worst = 0.0
     for alpha, phi, T in points:
-        cutoff = fock.default_cutoff(math.sqrt(2.0) * alpha)
+        cutoff = simulate.probe_cutoff(alpha)
         branch_a, branch_b = analytic.branch_amplitudes(alpha, phi, T)
         vec_a = _coherent_product(*branch_a, cutoff)
         vec_b = _coherent_product(*branch_b, cutoff)
@@ -333,11 +333,11 @@ def _reduced_density_purity() -> float:
 # ---------------------------------------------------------------------------
 
 def _mixed_pure_limit() -> float:
-    """|spectral QFI of a projector - pure-state variance QFI|."""
+    """|dense spectral QFI of a projector - pure-state variance QFI|."""
     state = simulate.probe_state(0.3, 0.2, 1.0)
-    gen = qfi.GeneratorChoice("jy")
-    return abs(qfi.qfi_mixed(fock.pure_density(state), gen).value
-               - qfi.qfi_pure(state, gen).value)
+    jy = fock.schwinger_ops(state.cutoff).jy
+    return abs(qfi.qfi_mixed(fock.pure_density(state).matrix, jy).value
+               - qfi.qfi_pure(state, qfi.GeneratorChoice("jy")).value)
 
 
 def _generator_sign_invariance() -> float:
@@ -371,8 +371,8 @@ def _factored_vs_dense() -> float:
 
     The production route solves the pruned branch stack on its Ritz
     subspace; the oracle splits the probe with the dense splitter unitary,
-    applies the dense Kraus channel, which prunes nothing, and diagonalizes
-    the result in full.  A rank mismatch counts as an infinite deviation.
+    applies the index-map Kraus channel, which prunes nothing, and
+    diagonalizes its dense matrix in full.  A rank mismatch counts as an infinite deviation.
     """
     worst = 0.0
     for alpha in (0.05, 0.8, 1.5):

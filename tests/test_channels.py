@@ -84,6 +84,22 @@ def test_loss_identity_and_vacuum_limits():
     assert np.sum(np.abs(dead.matrix)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_loss_channel_matches_the_dense_kraus_sum():
+    # sum_{k,l} K_k^A K_l^B rho (K_k^A K_l^B)^dag from the dense Kraus matrices
+    cutoff = FockCutoff(6)
+    basis = two_mode_basis(cutoff)
+    rng = np.random.default_rng(6)
+    for T in (0.0, 0.37, 0.83, 1.0):
+        dm = pure_density(_random_state(cutoff, rng))
+        spec = LossSpec(T)
+        ref = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for ka in loss_kraus_operators(basis, 0, spec):
+            for kb in loss_kraus_operators(basis, 1, spec):
+                k = ka @ kb
+                ref += k @ dm.matrix @ k.conj().T
+        np.testing.assert_allclose(loss_channel(dm, spec).matrix, ref, rtol=0, atol=1e-14)
+
+
 def test_loss_preserves_state_properties():
     rng = np.random.default_rng(3)
     dm = pure_density(_random_state(FockCutoff(6), rng))

@@ -77,6 +77,10 @@ def test_sweep_grid_validation():
                 {"omega_grid": (math.nan,)}):
         with pytest.raises(DomainError, match="must be finite"):
             SweepGrid(**{**ok, **bad})
+    for n_max in (-1, True, 2.5):
+        with pytest.raises(DomainError, match="n_max must be a non-negative integer"):
+            SweepGrid(**{**ok, "n_max": n_max})
+    SweepGrid(**{**ok, "n_max": 0})
 
 
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
@@ -322,8 +326,22 @@ def test_read_records_rejects_foreign_header(tmp_path):
     ("missing.json", json.dumps({"records": [{"alpha": 0.3}]}), ", record 0"),
     ("cell.json", json.dumps({"records": [dict.fromkeys(CSV_COLUMNS, "x")]}), ", record 0"),
     ("empty.json", "", ": no records list"),
+    ("nan.csv", ",".join(CSV_COLUMNS) + "\n" + ",".join(["1"] * 9 + ["nan"]) + "\n",
+     ", line 2"),
+    ("inf.csv", ",".join(CSV_COLUMNS) + "\n" + ",".join(["-inf"] + ["1"] * 9) + "\n",
+     ", line 2"),
+    ("bool.json", json.dumps({"records": [{**dict.fromkeys(CSV_COLUMNS, 1.0),
+                                           "alpha": True}]}), ", record 0"),
+    ("nan.json", json.dumps({"records": [{**dict.fromkeys(CSV_COLUMNS, 1.0),
+                                          "N": math.nan}]}), ", record 0"),
+    ("inf.json", json.dumps({"records": [dict.fromkeys(CSV_COLUMNS, 1.0),
+                                         {**dict.fromkeys(CSV_COLUMNS, 1.0),
+                                          "F_analytic": -math.inf}]}), ", record 1"),
+    ("row.json", json.dumps({"records": [list(CSV_COLUMNS)]}), ", record 0"),
+    ("number.json", json.dumps({"records": 5}), ": no records list"),
 ], ids=["short_row", "extra_cell", "bad_cell", "json_missing_column", "json_bad_cell",
-        "json_no_records"])
+        "json_no_records", "csv_nan_cell", "csv_inf_cell", "json_bool_cell",
+        "json_nan_cell", "json_inf_cell", "json_row_not_object", "json_records_not_list"])
 def test_read_records_rejects_malformed_rows(tmp_path, name, text, where):
     path = tmp_path / name
     path.write_text(text)

@@ -10,8 +10,10 @@ from mzqfi import (
     CatParams,
     DegenerateCat,
     DimensionMismatch,
+    DensityMatrix,
     DomainError,
     FockCutoff,
+    NotDensityMatrix,
     SchwingerOps,
     TailTooLarge,
     TwoModeState,
@@ -23,6 +25,7 @@ from mzqfi import (
     hop_operator,
     input_state,
     lowering_power,
+    probe_cutoff,
     probe_state,
     pure_density,
     qfi_numeric,
@@ -54,6 +57,9 @@ def test_cutoff_rejects_bad_values():
         FockCutoff(-1)
     with pytest.raises(DomainError):
         FockCutoff(2.5)
+    for flag in (True, False):
+        with pytest.raises(DomainError):
+            FockCutoff(flag)
     for bad in (math.nan, math.inf, 1e160):
         with pytest.raises(DomainError):
             default_cutoff(bad)
@@ -160,7 +166,7 @@ def test_cat_params_domain():
 def test_input_state_mode_means():
     alpha, phi = 0.6, 0.3
     cat = CatParams(0.5, 1.2)
-    state = input_state(alpha, phi, cat)
+    state = input_state(alpha, phi, cat, probe_cutoff(alpha))
     basis = state.basis
     n_a = hop_operator(basis, 0, 0)
     n_b = hop_operator(basis, 1, 1)
@@ -195,9 +201,19 @@ def test_expectation_shape_guard():
 
 
 def test_pure_density_roundtrip():
-    state = input_state(0.5, 0.1, CatParams(0.4, 2.0))
+    state = input_state(0.5, 0.1, CatParams(0.4, 2.0), probe_cutoff(0.5))
     dm = pure_density(state)
     dm.validate()
     assert dm.trace().real == pytest.approx(1.0)
     assert dm.purity() == pytest.approx(1.0)
     assert dm.basis.dim == two_mode_basis(state.cutoff).dim
+
+
+def test_validate_raises_on_a_trace_defect():
+    # a branch stack is Hermitian and positive by construction; its trace is not
+    state = input_state(0.3, 0.0, CatParams(0.3, 0.0), FockCutoff(12))
+    for scale in (1.0 + 1e-6, 0.5):
+        rows = scale * state.amplitudes[None, :]
+        with pytest.raises(NotDensityMatrix, match="trace"):
+            DensityMatrix(rows, state.cutoff, 0.0, 0.0).validate()
+    DensityMatrix(state.amplitudes[None, :], state.cutoff, 0.0, 0.0).validate()

@@ -122,15 +122,42 @@ def test_diagonal_fast_path_matches_dense_route():
 
 def test_uhlmann_fidelity_limits():
     state = probe_state(0.3, 0.1, 1.0)
-    dm = pure_density(state).matrix
+    dm = pure_density(state)
     assert uhlmann_fidelity(dm, dm) == pytest.approx(1.0, abs=1e-12)
     cutoff = FockCutoff(2)
     basis = two_mode_basis(cutoff)
-    a = np.zeros((basis.dim, basis.dim), dtype=complex)
+    a = np.zeros((1, basis.dim), dtype=complex)
     b = np.zeros_like(a)
-    a[basis.lookup((1, 0)), basis.lookup((1, 0))] = 1.0
-    b[basis.lookup((0, 1)), basis.lookup((0, 1))] = 1.0
+    a[0, basis.lookup((1, 0))] = 1.0
+    b[0, basis.lookup((0, 1))] = 1.0
+    a, b = (DensityMatrix(x, cutoff, 0.0, 0.0) for x in (a, b))
     assert uhlmann_fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
+
+
+def _eigh_root(mat):
+    # eigenvalues at roundoff would inflate to sqrt(eps) under the root
+    w, v = np.linalg.eigh(mat)
+    w[w < w.max() * 1e-13] = 0.0
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def test_uhlmann_fidelity_matches_the_dense_square_root_form():
+    # the branch-overlap nuclear norm against Tr|sqrt(sigma) sqrt(rho)|, the
+    # singular values of the product of the dense matrices' eigh square roots
+    rng = np.random.default_rng(41)
+    cutoff = FockCutoff(5)
+    dim = two_mode_basis(cutoff).dim
+
+    def random_stack(rows):
+        x = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+        return DensityMatrix(x / np.linalg.norm(x), cutoff, 0.0, 0.0)
+
+    for rows_rho, rows_sigma in ((1, 1), (2, 3), (4, 7), (dim, 2 * dim)):
+        rho, sigma = random_stack(rows_rho), random_stack(rows_sigma)
+        product = _eigh_root(sigma.matrix) @ _eigh_root(rho.matrix)
+        ref = float(np.sum(np.linalg.svd(product, compute_uv=False))) ** 2
+        assert uhlmann_fidelity(rho, sigma) == pytest.approx(ref, rel=0.0, abs=1e-12)
+        assert uhlmann_fidelity(sigma, rho) == pytest.approx(ref, rel=0.0, abs=1e-12)
 
 
 def test_eps_rank_controls_retained_spectrum():
@@ -165,15 +192,16 @@ def test_factored_route_widens_to_a_rank_12_stack():
     directions = rng.normal(size=(12, dim)) + 1j * rng.normal(size=(12, dim))
     branches = (rng.normal(size=(30, 12)) * np.geomspace(1.0, 1e-3, 12)) @ directions
     branches /= np.linalg.norm(branches)
-    rho = DensityMatrix.from_branches(branches, cutoff, 0.0, 0.0)
+    rho = DensityMatrix(branches, cutoff, 0.0, 0.0)
     heaviest = branches[np.argsort(-np.linalg.norm(branches, axis=1))[:4]]
     q, _ = np.linalg.qr(heaviest.T)
     assert np.linalg.norm(branches - (branches @ q.conj()) @ q.T) ** 2 > 1e-3
-    dense = DensityMatrix(rho.matrix.copy(), cutoff)
-    for gen in (GeneratorChoice("jz"), GeneratorChoice("jy"), schwinger_ops(cutoff).jz):
+    ops = schwinger_ops(cutoff)
+    for gen, dense_gen in ((GeneratorChoice("jz"), ops.jz), (GeneratorChoice("jy"), ops.jy),
+                           (ops.jz, ops.jz)):
         for eps_rank in (EPS_RANK, 1e-3):
             got = qfi_mixed(rho, gen, eps_rank=eps_rank)
-            ref = qfi_mixed(dense, gen, eps_rank=eps_rank)
+            ref = qfi_mixed(rho.matrix, dense_gen, eps_rank=eps_rank)
             assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
             assert got.rank == ref.rank
             assert got.discarded_weight <= EPS_RANK
@@ -184,15 +212,11 @@ def test_factored_route_widens_to_a_rank_12_stack():
 def test_branch_backed_density_checks_its_stack():
     cutoff = FockCutoff(2)
     with pytest.raises(DimensionMismatch):
-        DensityMatrix.from_branches(np.ones((3, 5)), cutoff, 0.0, 0.0)
+        DensityMatrix(np.ones((3, 5)), cutoff, 0.0, 0.0)
     with pytest.raises(DimensionMismatch):
-        DensityMatrix.from_branches(np.ones(6), cutoff, 0.0, 0.0)
-    with pytest.raises(DimensionMismatch):
-        DensityMatrix(np.eye(6), cutoff, branches=np.ones((1, 6)))
-    with pytest.raises(DimensionMismatch):
-        DensityMatrix(None, cutoff)
+        DensityMatrix(np.ones(6), cutoff, 0.0, 0.0)
     with pytest.raises(NotDensityMatrix):
-        DensityMatrix.from_branches(np.zeros((0, 6)), cutoff, 0.0, 0.0)
+        DensityMatrix(np.zeros((0, 6)), cutoff, 0.0, 0.0)
     stack = np.arange(12.0).reshape(2, 6) + 1j
-    rho = DensityMatrix.from_branches(stack, cutoff, 0.0, 0.0)
+    rho = DensityMatrix(stack, cutoff, 0.0, 0.0)
     np.testing.assert_array_equal(rho.matrix, stack.T @ stack.conj())

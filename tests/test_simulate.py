@@ -51,7 +51,7 @@ def test_probe_cutoff_tracks_combined_amplitude():
 
 def test_probe_state_is_input_state():
     state = probe_state(0.4, 0.2, 1.5)
-    ref = input_state(0.4, 0.2, CatParams(0.4, 1.5))
+    ref = input_state(0.4, 0.2, CatParams(0.4, 1.5), probe_cutoff(0.4))
     np.testing.assert_allclose(state.amplitudes, ref.amplitudes, atol=1e-15)
     assert state.cutoff == ref.cutoff
 
@@ -142,8 +142,8 @@ def test_numeric_route_builds_no_dense_operator(monkeypatch):
     point, cutoff = (0.3, 0.4, 2.0), FockCutoff(18)
     with monkeypatch.context() as m:
         m.setattr(fock, "hop_operator", refuse)
-        m.setattr(channels, "hop_operator", refuse)
         m.setattr(channels, "number_conserving_expm", refuse)
+        m.setattr(fock.DensityMatrix, "matrix", property(refuse))
         simulate._first_splitter.cache_clear()
         fock._schwinger_cached.cache_clear()
         got = {T: qfi_numeric(*point, T, cutoff).value for T in (0.0, 0.37, 1.0)}
