@@ -30,7 +30,6 @@ from .fock import (
     TwoModeState,
     cat_state,
     coherent_amplitudes,
-    default_cutoff,
     expectation,
     fock_basis,
     hop_operator,

@@ -208,7 +208,12 @@ def loss_fan_out(psi: np.ndarray, basis: FockBasis, T: float
 
 def loss_channel(dm: DensityMatrix, spec: LossSpec) -> DensityMatrix:
     """Equal photon loss on both arms, Kraus route: every Kraus operator of
-    arm A, then of arm B, applied to every branch, with nothing pruned."""
+    arm A, then of arm B, applied to every branch, with nothing pruned.
+
+    Only the exactly-zero rows are dropped after each arm (K_k of a row
+    with fewer than k photons, every K_k with k > 0 at T = 1); they add
+    nothing to the density.
+    """
     rows = dm.branches
     for mode in (0, 1):
         fanned = []
@@ -217,6 +222,7 @@ def loss_channel(dm: DensityMatrix, spec: LossSpec) -> DensityMatrix:
             branch[:, tgt] = w * rows[:, src]
             fanned.append(branch)
         rows = np.concatenate(fanned)
+        rows = rows[rows.any(axis=1)]
     return DensityMatrix(rows, dm.cutoff, dm.tail_mass, dm.pruned_mass)
 
 

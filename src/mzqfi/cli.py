@@ -18,40 +18,45 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import NamedTuple
 
 from ._version import __version__
 from .errors import DomainError, MzqfiError
-from .analytic import total_photon_number
 from .experiments import (
     FIGURE_IDS,
-    SweepRecord,
     _METHODS,
-    analytic_curve,
+    _PointEvaluator,
     figure_dataset,
     scan_phi,
     write_records_csv,
     write_records_json,
 )
-from .fock import FockCutoff
-from .simulate import qfi_numeric
 from .validation import run_checks
 
-_FORMATS = ("csv", "json")
-_LEVELS = ("fast", "full")
 
-_CONVERTERS = {
-    "alpha": float,
-    "phi": float,
-    "omega": float,
-    "T": float,
-    "n_max": int,
-    "method": str,
-    "out": str,
-    "format": str,
-    "tol_rank": float,
-    "tol_tail": float,
-    "jobs": int,
-    "level": str,
+class _Option(NamedTuple):
+    type: type
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+
+
+# Every option, declared once: the parsers, the config-file conversion and
+# choice check, and the defaults all come from here.  Flag: --dest with
+# "_" spelt "-".
+_OPTIONS = {
+    "alpha": _Option(float, required=True),
+    "phi": _Option(float, 0.0),
+    "omega": _Option(float, 0.0),
+    "T": _Option(float, 1.0),
+    "n_max": _Option(int),
+    "method": _Option(str, "analytic", _METHODS),
+    "tol_rank": _Option(float),
+    "tol_tail": _Option(float),
+    "jobs": _Option(int),
+    "out": _Option(str),
+    "format": _Option(str, "csv", ("csv", "json")),
+    "level": _Option(str, "fast", ("fast", "full")),
 }
 
 
@@ -73,41 +78,35 @@ def _load_config(path: str) -> dict[str, str]:
 
 def _convert(dest: str, text: str):
     try:
-        return _CONVERTERS[dest](text)
+        return _OPTIONS[dest].type(text)
     except ValueError:
         raise DomainError(f"invalid value for {dest}: {text!r}") from None
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    values = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, text in _load_config(config_path).items():
+def _merge(args: argparse.Namespace) -> dict:
+    """defaults < config file < explicit flags, for the command's options."""
+    _, _, dests = _COMMANDS[args.command]
+    values = {dest: _OPTIONS[dest].default for dest in dests}
+    if args.config:
+        for key, text in _load_config(args.config).items():
             dest = key.replace("-", "_")
-            if dest not in _CONVERTERS:
+            if dest not in _OPTIONS:
                 raise DomainError(f"unknown config key {key!r}")
             if dest in values:
                 values[dest] = _convert(dest, text)
     for dest in values:
-        flag = getattr(args, dest, None)
+        flag = getattr(args, dest)
         if flag is not None:
             values[dest] = flag
         if isinstance(values[dest], float) and not math.isfinite(values[dest]):
             raise DomainError(f"{dest} must be finite, got {values[dest]!r}")
+    for dest, value in values.items():
+        option = _OPTIONS[dest]
+        if option.required and value is None:
+            raise DomainError(f"{dest} is required (flag --{dest} or config file)")
+        if option.choices and value not in option.choices:
+            raise DomainError(f"{dest} must be one of {option.choices}, got {value!r}")
     return values
-
-
-def _require(values: dict, dest: str):
-    if values[dest] is None:
-        raise DomainError(f"{dest} is required (flag --{dest} or config file)")
-    return values[dest]
-
-
-def _require_choice(dest: str, value: str, choices) -> str:
-    if value not in choices:
-        raise DomainError(f"{dest} must be one of {choices}, got {value!r}")
-    return value
 
 
 def _show(name: str, value) -> None:
@@ -123,54 +122,27 @@ def _write_records(path: str, fmt: str, records, meta=None) -> None:
         write_records_csv(path, records)
 
 
-def _cmd_eval(args) -> int:
-    v = _merge(args, {
-        "alpha": None, "phi": 0.0, "omega": 0.0, "T": 1.0, "n_max": None,
-        "method": "analytic", "tol_rank": None, "tol_tail": None,
-        "out": None, "format": "csv",
-    })
-    alpha = _require(v, "alpha")
-    method = _require_choice("method", v["method"], _METHODS)
-    fmt = _require_choice("format", v["format"], _FORMATS)
-    phi, omega, T = v["phi"], v["omega"], v["T"]
-    f_analytic = f_numeric = abs_err = tail = None
-    if method in ("analytic", "both"):
-        f_analytic = analytic_curve(alpha, omega, T)(phi)
-    if method in ("numeric", "both"):
-        cutoff = None if v["n_max"] is None else FockCutoff(v["n_max"])
-        kwargs = {}
-        if v["tol_tail"] is not None:
-            kwargs["tol_tail"] = v["tol_tail"]
-        if v["tol_rank"] is not None:
-            kwargs["eps_rank"] = v["tol_rank"]
-        result = qfi_numeric(alpha, phi, omega, T, cutoff, **kwargs)
-        f_numeric, tail = result.value, result.tail_mass
-    if f_analytic is not None and f_numeric is not None:
-        abs_err = abs(f_numeric - f_analytic)
-    n_total = total_photon_number(alpha, omega)
-    print(f"point: alpha={alpha:.6g} phi={phi:.6g} omega={omega:.6g} "
-          f"T={T:.6g} method={method}")
-    _show("F_analytic", f_analytic)
-    _show("F_numeric", f_numeric)
-    _show("abs_err", abs_err)
-    _show("tail_mass", tail)
-    _show("N_total", n_total)
+def _cmd_eval(args, v) -> int:
+    options = {name: v[dest] for name, dest in (("tol_tail", "tol_tail"),
+                                                ("eps_rank", "tol_rank"))
+               if v[dest] is not None}
+    rec = _PointEvaluator(v["alpha"], v["omega"], v["T"], v["method"], v["n_max"],
+                          **options)(v["phi"])
+    print(f"point: alpha={rec.alpha:.6g} phi={rec.phi:.6g} omega={rec.omega:.6g} "
+          f"T={rec.T:.6g} method={v['method']}")
+    _show("F_analytic", rec.F_analytic)
+    _show("F_numeric", rec.F_numeric)
+    _show("abs_err", rec.abs_err)
+    _show("tail_mass", rec.tail_mass)
+    _show("N_total", rec.N)
     if v["out"]:
-        rec = SweepRecord(alpha, phi, omega, T, f_analytic, f_numeric,
-                          abs_err, tail, n_total, n_total * n_total)
-        _write_records(v["out"], fmt, [rec])
+        _write_records(v["out"], v["format"], [rec])
         print(f"wrote 1 record -> {v['out']}")
     return 0
 
 
-def _cmd_scan(args) -> int:
-    v = _merge(args, {
-        "alpha": None, "omega": 0.0, "T": 1.0, "n_max": None,
-        "method": "analytic", "out": None, "format": "csv",
-    })
-    alpha = _require(v, "alpha")
-    method = _require_choice("method", v["method"], _METHODS)
-    fmt = _require_choice("format", v["format"], _FORMATS)
+def _cmd_scan(args, v) -> int:
+    alpha, method = v["alpha"], v["method"]
     scan = scan_phi(alpha, v["omega"], v["T"], method=method, n_max=v["n_max"])
     print(f"scan: alpha={alpha:.6g} omega={v['omega']:.6g} T={v['T']:.6g} "
           f"method={method} points={len(scan.records)}")
@@ -179,17 +151,15 @@ def _cmd_scan(args) -> int:
     a, b, c = scan.harmonic
     print(f"harmonic: a={a:.17g} b={b:.17g} c={c:.17g} residual={scan.residual:.3g}")
     if v["out"]:
-        _write_records(v["out"], fmt, scan.records)
+        _write_records(v["out"], v["format"], scan.records)
         print(f"wrote {len(scan.records)} records -> {v['out']}")
     return 0
 
 
-def _cmd_figure(args) -> int:
-    v = _merge(args, {"n_max": None, "jobs": None, "out": None, "format": "csv"})
-    fmt = _require_choice("format", v["format"], _FORMATS)
+def _cmd_figure(args, v) -> int:
     dataset = figure_dataset(args.figure_id, n_max=v["n_max"], jobs=v["jobs"])
-    out = v["out"] or f"{dataset.figure_id}.{fmt}"
-    _write_records(out, fmt, dataset.records, dataset.meta)
+    out = v["out"] or f"{dataset.figure_id}.{v['format']}"
+    _write_records(out, v["format"], dataset.records, dataset.meta)
     line = f"{dataset.figure_id}: {len(dataset.records)} records -> {out}"
     errs = [r.abs_err for r in dataset.records if r.abs_err is not None]
     if errs:
@@ -198,15 +168,27 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    v = _merge(args, {"level": "fast"})
-    level = _require_choice("level", v["level"], _LEVELS)
+def _cmd_validate(args, v) -> int:
+    level = v["level"]
     results = run_checks(level)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
     n_pass = sum(r.passed for r in results)
     print(f"validate {level}: {n_pass}/{len(results)} checks passed")
     return 0 if n_pass == len(results) else 4
+
+
+# command -> (handler, help, its options in flag order)
+_COMMANDS = {
+    "eval": (_cmd_eval, "QFI at one parameter point",
+             ("alpha", "phi", "omega", "T", "n_max", "method", "tol_rank", "tol_tail",
+              "out", "format")),
+    "scan": (_cmd_scan, "phi sweep with the harmonic optimum",
+             ("alpha", "omega", "T", "n_max", "method", "out", "format")),
+    "figure": (_cmd_figure, "dataset behind a published panel",
+               ("n_max", "jobs", "out", "format")),
+    "validate": (_cmd_validate, "internal consistency suites", ("level",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,46 +200,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="QFI at one parameter point")
-    p_eval.add_argument("--alpha", type=float)
-    p_eval.add_argument("--phi", type=float)
-    p_eval.add_argument("--omega", type=float)
-    p_eval.add_argument("--T", dest="T", type=float)
-    p_eval.add_argument("--n-max", dest="n_max", type=int)
-    p_eval.add_argument("--method", choices=_METHODS)
-    p_eval.add_argument("--tol-rank", dest="tol_rank", type=float)
-    p_eval.add_argument("--tol-tail", dest="tol_tail", type=float)
-    p_eval.add_argument("--out")
-    p_eval.add_argument("--format", choices=_FORMATS)
-    p_eval.add_argument("--config")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_scan = sub.add_parser("scan", help="phi sweep with the harmonic optimum")
-    p_scan.add_argument("--alpha", type=float)
-    p_scan.add_argument("--omega", type=float)
-    p_scan.add_argument("--T", dest="T", type=float)
-    p_scan.add_argument("--n-max", dest="n_max", type=int)
-    p_scan.add_argument("--method", choices=_METHODS)
-    p_scan.add_argument("--out")
-    p_scan.add_argument("--format", choices=_FORMATS)
-    p_scan.add_argument("--config")
-    p_scan.set_defaults(func=_cmd_scan)
-
-    p_fig = sub.add_parser("figure", help="dataset behind a published panel")
-    p_fig.add_argument("figure_id", choices=FIGURE_IDS)
-    p_fig.add_argument("--n-max", dest="n_max", type=int)
-    p_fig.add_argument("--jobs", type=int)
-    p_fig.add_argument("--out")
-    p_fig.add_argument("--format", choices=_FORMATS)
-    p_fig.add_argument("--config")
-    p_fig.set_defaults(func=_cmd_figure)
-
-    p_val = sub.add_parser("validate", help="internal consistency suites")
-    p_val.add_argument("--level", choices=_LEVELS)
-    p_val.add_argument("--config")
-    p_val.set_defaults(func=_cmd_validate)
-
+    for command, (handler, help_text, dests) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "figure":
+            p.add_argument("figure_id", choices=FIGURE_IDS)
+        for dest in dests:
+            option = _OPTIONS[dest]
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=option.type,
+                           choices=option.choices)
+        p.add_argument("--config")
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -265,7 +217,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _merge(args))
     except MzqfiError as exc:
         print(f"mzqfi: error: {exc}", file=sys.stderr)
         return 2

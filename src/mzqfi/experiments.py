@@ -31,7 +31,7 @@ from .fock import EPS_TAIL, FockCutoff, check_alpha, check_phi
 from .qfi import EPS_RANK
 from .simulate import probe_cutoff, qfi_numeric
 
-NUMERIC_ALPHA_MAX = 1.5        # numeric path on by default only up to here
+NUMERIC_ALPHA_MAX = 1.5        # figure panels run the numeric route only up to here
 PHI_POINTS = 201
 OMEGA_POINTS = 64
 HARMONIC_RTOL = 1e-12          # worst scan residual of the cos 2phi fit, over max |F|
@@ -136,40 +136,50 @@ def analytic_curve(alpha: float, omega: float, T: float
 class _PointEvaluator:
     """evaluate_point at fixed (alpha, omega, T, method, n_max), one phi per call.
 
-    The input checks, the closed-form coefficients and the photon number
-    do not depend on phi, so they are done once per evaluator.
+    The one place that picks the routes for a point and assembles its
+    record, behind evaluate_point, run_grid, scan_phi and `mzqfi eval`.
+    The input checks (n_max whatever the method), the closed-form
+    coefficients, the cutoff and the photon number do not depend on phi,
+    so they are done once per evaluator.  numeric_options (tol_tail,
+    eps_rank) go to qfi_numeric.
     """
 
     def __init__(self, alpha: float, omega: float, T: float, method: str,
-                 n_max: int | None):
+                 n_max: int | None, **numeric_options):
         if method not in _METHODS:
             raise DomainError(f"method must be one of {_METHODS}")
         self.alpha, self.omega, self.T = alpha, omega, T
-        self.run_numeric = method == "numeric" or (
-            method == "both" and alpha <= NUMERIC_ALPHA_MAX
-        )
+        self.numeric_options = numeric_options
+        self.run_numeric = method != "analytic"
         self.curve = analytic_curve(alpha, omega, T) if method != "numeric" else None
-        self.cutoff = FockCutoff(n_max) if self.run_numeric and n_max is not None else None
+        self.cutoff = None if n_max is None else FockCutoff(n_max)
+        if self.run_numeric and self.cutoff is None:
+            # before the photon number, whose alpha check would hide the
+            # "no finite Fock cutoff" error of a numeric point
+            self.cutoff = probe_cutoff(alpha)
         self.n_total = (total_photon_number(alpha, omega) if self.curve is None
                         else self.curve.n_total)
 
+    def numeric(self, phi: float):
+        return qfi_numeric(self.alpha, phi, self.omega, self.T, self.cutoff,
+                           **self.numeric_options)
+
+    def value(self, phi: float) -> float:
+        """The QFI a phi scan fits its harmonic to: the closed form, or the
+        numeric value when that is the only route."""
+        return self.numeric(phi).value if self.curve is None else self.curve(phi)
+
     def __call__(self, phi: float) -> SweepRecord:
-        alpha, omega, T = self.alpha, self.omega, self.T
         f_analytic = None if self.curve is None else self.curve(phi)
-        f_numeric = None
-        tail = None
+        f_numeric = tail = abs_err = None
         if self.run_numeric:
-            res = qfi_numeric(alpha, phi, omega, T, self.cutoff)
-            f_numeric = res.value
-            tail = res.tail_mass
-        abs_err = (
-            abs(f_analytic - f_numeric)
-            if f_analytic is not None and f_numeric is not None
-            else None
-        )
+            res = self.numeric(phi)
+            f_numeric, tail = res.value, res.tail_mass
+            if f_analytic is not None:
+                abs_err = abs(f_analytic - f_numeric)
         n_total = self.n_total
-        return SweepRecord(alpha, phi, omega, T, f_analytic, f_numeric, abs_err,
-                           tail, n_total, n_total * n_total)
+        return SweepRecord(self.alpha, phi, self.omega, self.T, f_analytic, f_numeric,
+                           abs_err, tail, n_total, n_total * n_total)
 
 
 def evaluate_point(
@@ -284,14 +294,9 @@ def scan_phi(
     _check_phi_window(phi_grid)
     point = _PointEvaluator(alpha, omega, T, method, n_max)
     records = tuple(point(p) for p in phi_grid)
-    if method == "numeric":
-        def f(p: float) -> float:
-            return qfi_numeric(alpha, p, omega, T, point.cutoff).value
-
-        values = np.array([r.F_numeric for r in records])
-    else:
-        f = point.curve
-        values = np.array([r.F_analytic for r in records])
+    f = point.value
+    values = np.array([r.F_numeric if point.curve is None else r.F_analytic
+                       for r in records])
     a, b, c = phi_harmonic(f)
     two_phi = 2.0 * np.asarray(phi_grid, dtype=float)
     worst = float(np.max(np.abs(values - (a + b * np.cos(two_phi) + c * np.sin(two_phi)))))
@@ -334,7 +339,7 @@ def figure_dataset(figure_id: str, n_max: int | None = None,
     fig1c: optimum phi_m vs omega at T = 0.83, from the cos 2phi harmonic.
     fig2a/b/c: optimum QFI vs omega at alpha = 0.8 / 3 / 10 for
     T = 0.6..1.0, with total photon number N and N^2 reference columns
-    (numeric only where the default-enabled alpha window allows).
+    (numeric columns only for alpha <= NUMERIC_ALPHA_MAX).
     """
     if figure_id not in FIGURE_IDS:
         raise DomainError(f"unknown figure id {figure_id!r}; expected {FIGURE_IDS}")
@@ -375,7 +380,7 @@ def figure_dataset(figure_id: str, n_max: int | None = None,
         omega_grid=default_omega_grid(),
         T_grid=tuple(np.linspace(0.6, 1.0, 5)),
         n_max=n_max,
-        method="both",
+        method="both" if numeric else "analytic",
     )
     records = run_grid(grid, jobs)
     eff_n_max = n_max

@@ -46,20 +46,6 @@ class FockCutoff:
             raise DomainError("n_max must be a non-negative integer")
 
 
-def default_cutoff(alpha_scale: float) -> FockCutoff:
-    """Cutoff heuristic for coherent-family inputs.
-
-    alpha_scale is the root-sum-square coherent amplitude over all modes;
-    ceil(2*a^2 + 10*a + 10) keeps the total-photon tail far below 1e-10
-    for the amplitudes this package sweeps (a <= ~2.2).
-    """
-    a = abs(alpha_scale)
-    bound = 2.0 * a * a + 10.0 * a + 10.0
-    if not math.isfinite(bound):
-        raise DomainError(f"no finite Fock cutoff for amplitude {alpha_scale!r}")
-    return FockCutoff(math.ceil(bound))
-
-
 def check_affordable(cutoff: FockCutoff) -> None:
     """Raise DomainError when one dense two-mode operator at this cutoff
     would take more than MAX_OPERATOR_BYTES; builds nothing."""

@@ -409,10 +409,6 @@ def _fidelity_cross_check() -> float:
 # phase matching and the published-figure grids
 # ---------------------------------------------------------------------------
 
-def _numeric_curve(alpha: float, omega: float, T: float, cutoff: fock.FockCutoff):
-    return lambda phi: simulate.qfi_numeric(alpha, phi, omega, T, cutoff).value
-
-
 def _phi_harmonic() -> float:
     """Worst held-out residual of the three-phase cos 2phi harmonic, over max |F|.
 
@@ -424,7 +420,7 @@ def _phi_harmonic() -> float:
     curves = [experiments.analytic_curve(alpha, omega, T) for alpha, omega, T in (
         (0.3, 0.0, 0.83), (0.3, _OMEGA_67, 0.5), (0.8, 2.0, 0.1), (3.0, 1.0, 0.6),
         (0.3, 2.0, 1.0), (3.0, _OMEGA_67, 1.0))]
-    curves += [_numeric_curve(alpha, omega, T, fock.FockCutoff(20))
+    curves += [experiments._PointEvaluator(alpha, omega, T, "numeric", 20).value
                for alpha, omega, T in ((0.3, _OMEGA_67, 0.83), (0.5, 1.0, 0.4),
                                        (0.4, 2.0, 1.0))]
     worst = 0.0

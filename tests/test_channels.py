@@ -9,10 +9,12 @@ import pytest
 from mzqfi import (
     BeamSplitterSpec,
     CatParams,
+    DensityMatrix,
     DomainError,
     FockCutoff,
     LossSpec,
     TwoModeState,
+    beam_splitter_unitary,
     fock_basis,
     input_state,
     loss_channel,
@@ -20,6 +22,7 @@ from mzqfi import (
     loss_kraus_operators,
     lowering_power,
     phase_shift_unitary,
+    probe_state,
     pure_density,
     two_mode_basis,
 )
@@ -98,6 +101,26 @@ def test_loss_channel_matches_the_dense_kraus_sum():
                 k = ka @ kb
                 ref += k @ dm.matrix @ k.conj().T
         np.testing.assert_allclose(loss_channel(dm, spec).matrix, ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("T, rows", [(0.37, 325), (1.0, 1)])
+def test_loss_channel_forms_only_nonzero_rows(T, rows):
+    # the split alpha = 0.8 probe at n_max 24: of the 625 Kraus pairs (k, l),
+    # only those with k + l <= n_max survive at T < 1, and only (0, 0) at T = 1
+    cutoff = FockCutoff(24)
+    basis = two_mode_basis(cutoff)
+    split = beam_splitter_unitary(BeamSplitterSpec(0.5), cutoff)
+    psi = split @ probe_state(0.8, 0.3, 1.0, cutoff).amplitudes
+    spec = LossSpec(T)
+    out = loss_channel(pure_density(TwoModeState(psi, cutoff)), spec)
+    assert out.branches.shape == (rows, basis.dim)
+    assert out.branches.any(axis=1).all()
+    unpruned = np.array([ka @ (kb @ psi)
+                         for ka in loss_kraus_operators(basis, 0, spec)
+                         for kb in loss_kraus_operators(basis, 1, spec)])
+    assert len(unpruned) == 625
+    ref = DensityMatrix(unpruned, cutoff, 0.0, 0.0).matrix
+    np.testing.assert_allclose(out.matrix, ref, rtol=0, atol=1e-15)
 
 
 def test_loss_preserves_state_properties():

@@ -1,6 +1,8 @@
-"""End-to-end CLI tests via subprocess."""
+"""End-to-end CLI tests: via subprocess, or in process where a test compares
+the CLI's output with the library's."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import mzqfi
-from mzqfi import read_records
+from mzqfi import evaluate_point, read_records
+from mzqfi.cli import main
 
 # The child must run the same mzqfi this process imported, from any cwd.
 # An inherited relative PYTHONPATH (e.g. "src") stops resolving once a test
@@ -131,6 +134,47 @@ def test_eval_writes_readable_output(tmp_path):
     assert len(records) == 1
     assert records[0].T == 0.9
     assert records[0].F_numeric is None
+
+
+def _bits(record):
+    return [None if x is None else float(x).hex() for x in dataclasses.astuple(record)]
+
+
+@pytest.mark.parametrize("alpha, T, method, fmt", [
+    (0.3, 0.83, "analytic", "csv"),
+    (0.3, 0.83, "numeric", "json"),
+    (0.3, 1.0, "both", "csv"),
+    (2.0, 0.7, "both", "json"),
+    (2.0, 1.0, "numeric", "csv"),
+])
+def test_eval_writes_the_record_evaluate_point_returns(tmp_path, capsys, alpha, T,
+                                                       method, fmt):
+    out = tmp_path / f"point.{fmt}"
+    assert main(["eval", "--alpha", repr(alpha), "--phi", "0.2", "--omega", "1.0",
+                 "--T", repr(T), "--method", method, "--out", str(out),
+                 "--format", fmt]) == 0
+    (rec,), _ = read_records(str(out))
+    ref = evaluate_point(alpha, 0.2, 1.0, T, method=method)
+    assert _bits(rec) == _bits(ref)
+
+
+def test_eval_passes_tol_rank_to_the_numeric_route(capsys):
+    def f_numeric(*extra):
+        assert main(["eval", "--alpha", "0.3", "--T", "0.5", "--method", "numeric",
+                     *extra]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("F_numeric")]
+        return line
+
+    assert f_numeric("--tol-rank", "0.4") != f_numeric()
+
+
+@pytest.mark.parametrize("method", ["analytic", "numeric", "both"])
+def test_eval_rejects_a_bad_n_max_whatever_the_method(capsys, method):
+    assert main(["eval", "--alpha", "0.3", "--n-max", "-1", "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_max must be a non-negative integer" in captured.err
 
 
 def test_scan_outputs_optimum(tmp_path):

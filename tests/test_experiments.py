@@ -126,10 +126,24 @@ def test_evaluate_point_column_presence():
     assert num.F_analytic is None and num.F_numeric is not None
 
 
-def test_numeric_skipped_above_default_window():
+def test_both_runs_both_routes_at_any_alpha():
+    # "both" has no alpha window; only the fig2b/fig2c panels stay analytic
     rec = evaluate_point(3.0, 0.0, 1.0, 0.8, method="both")
-    assert rec.F_analytic is not None
-    assert rec.F_numeric is None
+    assert rec.F_numeric == pytest.approx(rec.F_analytic, rel=1e-12)
+    assert rec.abs_err == abs(rec.F_analytic - rec.F_numeric)
+    for figure_id in ("fig2b", "fig2c"):
+        ds = figure_dataset(figure_id)
+        assert ds.meta["numeric"] is False and ds.meta["n_max"] is None
+        assert all(r.F_numeric is None and r.abs_err is None and r.tail_mass is None
+                   for r in ds.records)
+
+
+@pytest.mark.parametrize("method", ["analytic", "numeric", "both"])
+def test_bad_n_max_is_domain_error_whatever_the_method(method):
+    with pytest.raises(DomainError, match="n_max must be a non-negative integer"):
+        evaluate_point(0.3, 0.1, 1.0, 0.5, method=method, n_max=-1)
+    with pytest.raises(DomainError, match="n_max must be a non-negative integer"):
+        scan_phi(0.3, 1.0, 0.5, method=method, n_max=-7)
 
 
 def test_run_grid_parallel_matches_serial():
@@ -188,7 +202,6 @@ _SHORT_GRID = tuple(np.linspace(-1.5, 1.5, 9))
     (0.3, 1.0, 1.0, "both", _SHORT_GRID),
     (0.5, 0.1, 0.0, "both", _SHORT_GRID),
     (0.0, 1.0, 0.5, "both", _SHORT_GRID),
-    (3.0, 1.0, 0.7, "both", None),
 ])
 def test_scan_records_equal_evaluate_point(alpha, omega, T, method, phi_grid):
     scan = scan_phi(alpha, omega, T, phi_grid=phi_grid, method=method, n_max=12)

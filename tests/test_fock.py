@@ -19,7 +19,6 @@ from mzqfi import (
     TwoModeState,
     cat_state,
     coherent_amplitudes,
-    default_cutoff,
     expectation,
     fock_basis,
     hop_operator,
@@ -61,13 +60,15 @@ def test_cutoff_rejects_bad_values():
         with pytest.raises(DomainError):
             FockCutoff(flag)
     for bad in (math.nan, math.inf, 1e160):
-        with pytest.raises(DomainError):
-            default_cutoff(bad)
+        with pytest.raises(DomainError, match="no finite Fock cutoff"):
+            probe_cutoff(bad)
 
 
 def test_default_cutoff_formula():
-    for a in (0.0, 0.42, 1.7, 14.1):
-        assert default_cutoff(a).n_max == math.ceil(2 * a * a + 10 * a + 10)
+    # a = sqrt(2) alpha, the root-sum-square amplitude over both ports
+    for alpha in (0.0, 0.42, 1.7, 14.1, -0.42):
+        a = math.sqrt(2.0) * abs(alpha)
+        assert probe_cutoff(alpha).n_max == math.ceil(2 * a * a + 10 * a + 10)
 
 
 def test_jz_is_diagonal_in_smallest_basis():

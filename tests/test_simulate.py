@@ -20,7 +20,6 @@ from mzqfi import (
     LossyRho2x2,
     TailTooLarge,
     TwoModeState,
-    default_cutoff,
     eigensystem_2x2,
     input_state,
     loss_channel,
@@ -45,8 +44,9 @@ OMEGA_67 = 6.0 * math.pi / 7.0
 
 
 def test_probe_cutoff_tracks_combined_amplitude():
-    for alpha in (0.1, 0.3, 1.2):
-        assert probe_cutoff(alpha) == default_cutoff(math.sqrt(2.0) * alpha)
+    # ceil(2a^2 + 10a + 10) at a = sqrt(2) alpha
+    for alpha, n_max in ((0.1, 12), (0.3, 15), (0.8, 24), (1.2, 33), (1.5, 41)):
+        assert probe_cutoff(alpha) == FockCutoff(n_max)
 
 
 def test_probe_state_is_input_state():

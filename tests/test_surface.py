@@ -1,18 +1,21 @@
 """The public surface other code reaches: README and the benchmark harness.
 
-perfbench/ imports mzqfi names and wraps module attributes by name, and
-README's library quick start calls the package; a deletion that removes
-a name either of them uses fails here, in the unit suite.
+perfbench/ imports mzqfi names and wraps module attributes by name,
+README's library quick start calls the package and its CLI quick start
+uses the flags; a deletion that removes a name or a flag any of them
+uses fails here, in the unit suite.
 """
 from __future__ import annotations
 
 import re
 import runpy
+import shlex
 from pathlib import Path
 
 import pytest
 
 import mzqfi
+from mzqfi.cli import build_parser
 
 _ROOT = Path(__file__).resolve().parent.parent
 _README = (_ROOT / "README.md").read_text()
@@ -56,3 +59,14 @@ def test_readme_quick_start_runs_and_gives_its_values():
 def test_readme_lists_the_public_api():
     listed = set(re.findall(r"`(\w+)`", _readme_section("Public API")))
     assert listed == set(mzqfi.__all__)
+
+
+def test_readme_cli_examples_parse():
+    block = _readme_section("Quick start (CLI)").split("```sh\n", 1)[1]
+    lines = [shlex.split(line, comments=True)
+             for line in block.split("```", 1)[0].splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["mzqfi"]]
+    assert len(commands) == 6
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)   # exits on an unknown flag or choice; runs nothing
