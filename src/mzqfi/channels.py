@@ -171,18 +171,33 @@ def loss_kraus_operators(basis: FockBasis, mode: int, spec: LossSpec
     return ops
 
 
+@lru_cache(maxsize=None)
+def _kraus_groups(n_max: int) -> np.ndarray:
+    """Flat indices k (n_max+1) + l of the Kraus pairs in each group
+    (s = k + l <= n_max, l mod 2), l rising, padded with (n_max+1)^2; row
+    2 s + parity.  Row 1, (0, odd), is padding only."""
+    side = n_max + 1
+    s, parity = np.divmod(np.arange(2 * side), 2)
+    l = 2 * np.arange(n_max // 2 + 1) + parity[:, None]
+    members = np.where(l <= s[:, None], (s[:, None] - l) * side + l, side * side)
+    members.setflags(write=False)
+    return members
+
+
 def loss_fan_out(psi: np.ndarray, basis: FockBasis, T: float
                  ) -> tuple[np.ndarray, float]:
-    """Loss of transmission T on both arms of a pure two-mode vector, as the
-    stack of its Kraus branches K_k^A K_l^B psi, plus the squared norm of
-    the branches left out.
+    """Loss of transmission T on both arms of the truncated probe psi, a
+    coherent times a cat amplitude sequence: one row per group (s = k + l,
+    l mod 2) of its Kraus branches K_k^A K_l^B psi, and the squared norm of
+    the groups left out.
 
-    The squared norm of every branch is read off |psi|^2 on the (n_A, n_B)
-    occupation grid before any branch is formed.  The lightest branches,
-    as many as together weigh at most PRUNE_MASS, are dropped; the rest
-    come in row-major (k, l) order, the order of a fan-out over arm A then
-    arm B.  The survivors are one gather from the zero-padded grid,
-    weighted by arm A, then by arm B.
+    The branches of a group are parallel (docs/formulas.md, "Loss
+    channel"); its row is its heaviest branch scaled to the group's summed
+    squared norm.  Branch norms are read off |psi|^2 on the occupation grid
+    before any branch is formed.  The lightest groups, as many as together
+    weigh at most PRUNE_MASS, are dropped, (0, odd) always; the rest come
+    in (s, parity) order, each one gather from the zero-padded grid,
+    weighted by arm A, then arm B, then scaled.
     """
     n = basis.n_max
     n_a, n_b = basis.occupations.T
@@ -192,18 +207,23 @@ def loss_fan_out(psi: np.ndarray, basis: FockBasis, T: float
     coef = loss_kraus_coefficients(n, T)
     sq = coef * coef
     held = grid[: n + 1, : n + 1]
-    norms = (sq @ (held.real**2 + held.imag**2) @ sq.T).ravel()   # norms[k, l]
-    lightest = np.argsort(norms, kind="stable")
-    light_mass = np.cumsum(norms[lightest])
+    norms = sq @ (held.real**2 + held.imag**2) @ sq.T   # norms[k, l]
+    members = np.append(norms, 0.0)[_kraus_groups(n)]   # branch norms by group
+    mass = members.sum(axis=1)
+    lightest = np.argsort(mass, kind="stable")
+    light_mass = np.cumsum(mass[lightest])
     dropped = int(np.searchsorted(light_mass, PRUNE_MASS, side="right"))
-    k, l = np.divmod(np.sort(lightest[dropped:]), n + 1)
+    kept = np.sort(lightest[dropped:])   # empty groups weigh 0: dropped
+    heaviest = members[kept].argmax(axis=1)
+    s, parity = np.divmod(kept, 2)
+    l = 2 * heaviest + parity
+    k = s - l
     branches = np.take(grid, (k * width + l)[:, None] + (n_a * width + n_b))
-    # after[j, m] = coef[j, m + j]: the weight of K_j by the occupation it leaves
-    steps = np.arange(n + 1)
-    after = np.pad(coef, ((0, 0), (0, n)))[steps[:, None], steps + steps[:, None]]
-    branches *= after[:, n_a][k]
-    branches *= after[:, n_b][l]
-    return branches, float(light_mass[dropped - 1]) if dropped else 0.0
+    coef = np.pad(coef, ((0, 0), (0, n)))   # zero beyond n_max, as the grid
+    branches *= coef[k[:, None], n_a + k[:, None]]
+    branches *= coef[l[:, None], n_b + l[:, None]]
+    branches *= np.sqrt(mass[kept] / members[kept, heaviest])[:, None]
+    return branches, float(light_mass[dropped - 1])
 
 
 def loss_channel(dm: DensityMatrix, spec: LossSpec) -> DensityMatrix:

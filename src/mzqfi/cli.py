@@ -92,8 +92,10 @@ def _merge(args: argparse.Namespace) -> dict:
             dest = key.replace("-", "_")
             if dest not in _OPTIONS:
                 raise DomainError(f"unknown config key {key!r}")
-            if dest in values:
-                values[dest] = _convert(dest, text)
+            if dest not in values:
+                raise DomainError(
+                    f"config key {key!r} is not an option of mzqfi {args.command}")
+            values[dest] = _convert(dest, text)
     for dest in values:
         flag = getattr(args, dest)
         if flag is not None:

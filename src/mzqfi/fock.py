@@ -177,8 +177,8 @@ class SchwingerOps:
 
     jx = (a^dag b + b^dag a)/2, jy = (a^dag b - b^dag a)/(2i),
     jz = (a^dag a - b^dag b)/2.  All block diagonal in total photon number.
-    Each dense matrix is built on first read; `jz_diagonal` is J_z's
-    diagonal, read from the occupations without a dense matrix.
+    Each dense matrix is built on first read; `jz_diagonal` (J_z's diagonal)
+    and `hop_weights` (a^dag b's weights) are read from the occupations.
     """
 
     cutoff: FockCutoff
@@ -191,6 +191,12 @@ class SchwingerOps:
     def jz_diagonal(self) -> np.ndarray:
         occ = self.basis.occupations
         return _read_only(0.5 * (occ[:, 0] - occ[:, 1]).astype(float))
+
+    @cached_property
+    def hop_weights(self) -> np.ndarray:
+        """w with a^dag b |j> = w[j] |j - 1>: sqrt(n_B (n_A + 1)), 0 on block starts."""
+        occ = self.basis.occupations
+        return _read_only(np.sqrt((occ[:, 1] * (occ[:, 0] + 1)).astype(float)))
 
     @cached_property
     def jx(self) -> np.ndarray:

@@ -28,9 +28,7 @@ from .fock import (
     DensityMatrix,
     FockCutoff,
     TwoModeState,
-    hop_map,
     schwinger_ops,
-    two_mode_basis,
 )
 
 EPS_RANK = 1e-12     # pair weight below this is treated as rank deficient
@@ -41,7 +39,7 @@ RITZ_TOL = 1e-20     # trace a certified Ritz subspace may leave out
 
 @dataclass(frozen=True)
 class GeneratorChoice:
-    """Phase generator selector: J_y (lossless family) or J_z (between splitters)."""
+    """Phase generator selector: J_y (input frame) or J_z (between the splitters)."""
 
     which: str = "jy"
 
@@ -55,15 +53,15 @@ class GeneratorChoice:
 
     def apply(self, cutoff: FockCutoff, vecs: np.ndarray) -> np.ndarray:
         """G @ vecs without a dense G: J_z as the occupation diagonal, J_y
-        through the a^dag b shift map."""
+        as a one-index shift (a^dag b |j> = w[j] |j - 1>)."""
+        ops = schwinger_ops(cutoff)
+        column = (-1,) + (1,) * (vecs.ndim - 1)
         if self.which == "jz":
-            diag = schwinger_ops(cutoff).jz_diagonal
-            return diag.reshape(diag.shape + (1,) * (vecs.ndim - 1)) * vecs
-        src, tgt, weights = hop_map(two_mode_basis(cutoff), 0, 1)   # a^dag b
-        weights = weights.reshape(weights.shape + (1,) * (vecs.ndim - 1))
+            return ops.jz_diagonal.reshape(column) * vecs
+        w = ops.hop_weights[1:].reshape(column)
         out = np.zeros(vecs.shape, dtype=complex)
-        out[tgt] = weights * vecs[src]
-        out[src] -= weights * vecs[tgt]      # b^dag a = (a^dag b)^dag
+        out[:-1] = w * vecs[1:]        # a^dag b
+        out[1:] -= w * vecs[:-1]       # b^dag a = (a^dag b)^dag
         return out / 2j
 
 

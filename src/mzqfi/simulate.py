@@ -1,26 +1,20 @@
 """Truncated-Fock simulation of the lossy interferometer.
 
-Pipeline for the mixed probe: product input -> balanced splitter
-exp(i (pi/2) J_x), applied block by block in total photon number ->
-photon loss of transmittance T on both arms, realized as a Kraus fan-out
-of the pure state.  Each Kraus pair (k, l) (k photons lost from arm A,
-l from arm B) just shifts occupation numbers down and reweights, so every
-branch stays a vector.  The density is kept as the stack of surviving
-branches and never formed: its QFI is solved on the span of the branches.
-
-The phase generator for the mixed probe is J_z (phase accumulates between
-the splitters); for the lossless case the probe stays pure and the QFI is
-evaluated directly on the input state with generator J_y.  Both are
-applied from the occupations; no dense two-mode operator is built.
+Pipeline for the mixed probe: product input -> photon loss of
+transmittance T on both arms, as a Kraus fan-out of the pure state.  Equal
+loss commutes with the first splitter exp(i (pi/2) J_x), so it is taken in
+the input frame, where the phase generator J_z between the splitters is
+J_y, as on the lossless route.  There the branches of one Kraus group
+(k + l, l mod 2), k photons lost from arm A and l from arm B, are
+parallel, so each group is one row of the density's branch stack.  The
+density is never formed: its QFI is solved on the span of the branches.
+No splitter and no dense two-mode operator is built.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
-import numpy as np
-
-from .channels import loss_fan_out, splitter_blocks
+from .channels import loss_fan_out
 from .errors import DomainError
 from .fock import (
     EPS_TAIL,
@@ -29,7 +23,6 @@ from .fock import (
     FockCutoff,
     TwoModeState,
     check_affordable,
-    fock_basis,
     input_state,
 )
 from .qfi import (
@@ -57,29 +50,6 @@ def probe_cutoff(alpha: float) -> FockCutoff:
     return FockCutoff(math.ceil(bound))
 
 
-def _affordable_cutoff(alpha: float, cutoff: FockCutoff | None) -> FockCutoff:
-    """`cutoff`, or the default for alpha, once check_affordable passes it."""
-    if cutoff is None:
-        cutoff = probe_cutoff(alpha)
-    check_affordable(cutoff)
-    return cutoff
-
-
-@lru_cache(maxsize=None)
-def _first_splitter(n_max: int) -> tuple[np.ndarray, ...]:
-    """Blocks of exp(i (pi/2) J_x), one (N+1) x (N+1) unitary per total
-    photon number N."""
-    return splitter_blocks(fock_basis(2, n_max), 0, 1, math.pi / 2.0)
-
-
-def _split(state: TwoModeState) -> np.ndarray:
-    """The first splitter applied to the probe, block by block."""
-    amp = state.amplitudes
-    return np.concatenate([u @ amp[blk] for u, blk in
-                           zip(_first_splitter(state.cutoff.n_max),
-                               state.basis.block_slices)])
-
-
 def probe_state(
     alpha: float,
     phi: float,
@@ -87,8 +57,11 @@ def probe_state(
     cutoff: FockCutoff | None = None,
     tol_tail: float = EPS_TAIL,
 ) -> TwoModeState:
-    """Product input |i alpha e^{i phi}> (x) cat(alpha, omega), truncated."""
-    cutoff = _affordable_cutoff(alpha, cutoff)
+    """Product input |i alpha e^{i phi}> (x) cat(alpha, omega), truncated at
+    `cutoff` (default probe_cutoff(alpha)) once check_affordable passes it."""
+    if cutoff is None:
+        cutoff = probe_cutoff(alpha)
+    check_affordable(cutoff)
     return input_state(alpha, phi, CatParams(alpha, omega), cutoff, tol_tail)
 
 
@@ -100,10 +73,11 @@ def lossy_probe_density(
     cutoff: FockCutoff | None = None,
     tol_tail: float = EPS_TAIL,
 ) -> DensityMatrix:
-    """Mixed probe after the first splitter and per-arm loss, held as its
-    branch stack (one row per surviving Kraus pair)."""
+    """Mixed probe after per-arm loss, in the input frame: loss applied to
+    the product input, before the first splitter.  Its phase generator is
+    J_y.  Held as its branch stack, one row per surviving Kraus group."""
     state = probe_state(alpha, phi, omega, cutoff, tol_tail)
-    branches, pruned = loss_fan_out(_split(state), state.basis, transmission)
+    branches, pruned = loss_fan_out(state.amplitudes, state.basis, transmission)
     return DensityMatrix(branches, state.cutoff, state.tail_mass, pruned)
 
 
@@ -116,11 +90,10 @@ def qfi_numeric(
     tol_tail: float = EPS_TAIL,
     eps_rank: float = EPS_RANK,
 ) -> QfiResult:
-    """Fock-basis QFI of the probe, pure route at T = 1, spectral otherwise."""
+    """Fock-basis QFI of the probe under J_y: pure at T = 1, spectral otherwise."""
     check_eps_rank(eps_rank)
-    cutoff = _affordable_cutoff(alpha, cutoff)
+    jy = GeneratorChoice("jy")
     if transmission == 1.0:
-        state = probe_state(alpha, phi, omega, cutoff, tol_tail)
-        return qfi_pure(state, GeneratorChoice("jy"))
+        return qfi_pure(probe_state(alpha, phi, omega, cutoff, tol_tail), jy)
     rho = lossy_probe_density(alpha, phi, omega, transmission, cutoff, tol_tail)
-    return qfi_mixed(rho, GeneratorChoice("jz"), eps_rank=eps_rank)
+    return qfi_mixed(rho, jy, eps_rank=eps_rank)

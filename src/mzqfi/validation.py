@@ -343,36 +343,36 @@ def _mixed_pure_limit() -> float:
 def _generator_sign_invariance() -> float:
     """|F(G) - F(-G)|, exactly zero."""
     rho = simulate.lossy_probe_density(0.3, 0.1, 1.0, 0.7)
-    jz = fock.schwinger_ops(rho.cutoff).jz
-    return abs(qfi.qfi_mixed(rho, jz).value - qfi.qfi_mixed(rho, -jz).value)
+    jy = fock.schwinger_ops(rho.cutoff).jy
+    return abs(qfi.qfi_mixed(rho, jy).value - qfi.qfi_mixed(rho, -jy).value)
 
 
 def _unitary_invariance() -> float:
     """Largest QFI shift under rho -> U rho U^dag, G -> U G U^dag."""
     rho = simulate.lossy_probe_density(0.3, 0.3, 2.0, 0.83)
     cutoff = rho.cutoff
-    jz = fock.schwinger_ops(cutoff).jz
+    jy = fock.schwinger_ops(cutoff).jy
     unitaries = [channels.beam_splitter_unitary(channels.BeamSplitterSpec(T), cutoff)
                  for T in (0.5, 0.3)]
     unitaries.append(channels.phase_shift_unitary(1.1, cutoff))
-    return max(qfi.qfi_unitary_invariance_check(rho, jz, U) for U in unitaries)
+    return max(qfi.qfi_unitary_invariance_check(rho, jy, U) for U in unitaries)
 
 
 def _rank_cutoff_stability() -> float:
     """QFI shift between rank thresholds 1e-10 and 1e-11."""
     rho = simulate.lossy_probe_density(0.3, 0.1, _OMEGA_67, 0.83)
-    jz = fock.schwinger_ops(rho.cutoff).jz
-    return abs(qfi.qfi_mixed(rho, jz, eps_rank=1e-10).value
-               - qfi.qfi_mixed(rho, jz, eps_rank=1e-11).value)
+    jy = fock.schwinger_ops(rho.cutoff).jy
+    return abs(qfi.qfi_mixed(rho, jy, eps_rank=1e-10).value
+               - qfi.qfi_mixed(rho, jy, eps_rank=1e-11).value)
 
 
 def _factored_vs_dense() -> float:
     """Largest |qfi_numeric - dense oracle| / |F| of the lossy probe, n_max <= 24.
 
-    The production route solves the pruned branch stack on its Ritz
-    subspace; the oracle splits the probe with the dense splitter unitary,
-    applies the index-map Kraus channel, which prunes nothing, and
-    diagonalizes its dense matrix in full.  A rank mismatch counts as an infinite deviation.
+    The production route solves the pruned, merged input-frame stack on its
+    Ritz subspace under J_y; the oracle splits the probe with the dense
+    splitter unitary, applies the index-map Kraus channel, which prunes
+    nothing, and diagonalizes its dense matrix in full under J_z.  A rank mismatch counts as an infinite deviation.
     """
     worst = 0.0
     for alpha in (0.05, 0.8, 1.5):
@@ -398,9 +398,9 @@ def _fidelity_cross_check() -> float:
     worst = 0.0
     for T in (0.5, 0.83):
         rho = simulate.lossy_probe_density(0.3, 0.2, 1.0, T)
-        jz = fock.schwinger_ops(rho.cutoff).jz
-        spectral = qfi.qfi_mixed(rho, jz).value
-        fid = qfi.qfi_fidelity_estimate(rho, jz)
+        jy = fock.schwinger_ops(rho.cutoff).jy
+        spectral = qfi.qfi_mixed(rho, jy).value
+        fid = qfi.qfi_fidelity_estimate(rho, jy)
         worst = max(worst, abs(spectral - fid) / abs(spectral))
     return worst
 

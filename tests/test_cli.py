@@ -123,6 +123,14 @@ def test_bad_config_entries(tmp_path):
     proc = run_cli("eval", "--config", str(malformed))
     assert proc.returncode == 2
     assert "expected key=value" in proc.stderr
+    # a key of another command is refused, not silently left unused
+    for args, text, key in ((("figure", "fig2c"), "alpha = 9\n", "alpha"),
+                            (("eval",), "alpha = 0.3\njobs = 3\n", "jobs")):
+        misplaced = tmp_path / "misplaced.cfg"
+        misplaced.write_text(text)
+        proc = run_cli(*args, "--config", str(misplaced))
+        assert proc.returncode == 2
+        assert f"config key {key!r} is not an option of mzqfi {args[0]}" in proc.stderr
 
 
 def test_eval_writes_readable_output(tmp_path):

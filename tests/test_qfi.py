@@ -91,6 +91,20 @@ def test_generator_choice_applies_its_matrix():
                                        rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 20, 24, 41])
+def test_jy_shift_matches_the_dense_jy(n_max):
+    # a^dag b moves each state one index back inside its total-number block;
+    # unit columns, as the Ritz vectors the route applies J_y to
+    cutoff = FockCutoff(n_max)
+    jy = schwinger_ops(cutoff).jy
+    rng = np.random.default_rng(n_max)
+    vecs = rng.normal(size=(len(jy), 4)) + 1j * rng.normal(size=(len(jy), 4))
+    vecs /= np.linalg.norm(vecs, axis=0)
+    for x in (vecs, vecs[:, 0]):
+        np.testing.assert_allclose(GeneratorChoice("jy").apply(cutoff, x), jy @ x,
+                                   rtol=0, atol=1e-15)
+
+
 def test_generator_choice_needs_cutoff_for_raw_arrays():
     basis = fock_basis(2, 3)
     rho = np.eye(basis.dim) / basis.dim
@@ -108,14 +122,14 @@ def test_spectral_decomposition_ordering_and_guard():
 
 
 def test_diagonal_fast_path_matches_dense_route():
-    # conjugating J_z by a fixed splitter makes it dense; QFI is invariant
+    # conjugating J_y by a fixed splitter mixes it further; QFI is invariant
     rho = lossy_probe_density(0.3, 0.25, 2.0, 0.6)
     cutoff = rho.cutoff
-    jz = schwinger_ops(cutoff).jz
+    jy = schwinger_ops(cutoff).jy
     u = beam_splitter_unitary(BeamSplitterSpec(0.5), cutoff)
     rotated_rho = u @ rho.matrix @ u.conj().T
-    rotated_gen = u @ jz @ u.conj().T
-    a = qfi_mixed(rho.matrix, jz).value
+    rotated_gen = u @ jy @ u.conj().T
+    a = qfi_mixed(rho.matrix, jy).value
     b = qfi_mixed(rotated_rho, rotated_gen).value
     assert b == pytest.approx(a, abs=1e-10)
 
@@ -163,9 +177,9 @@ def test_uhlmann_fidelity_matches_the_dense_square_root_form():
 def test_eps_rank_controls_retained_spectrum():
     # the lossy probe is a two-branch mixture, hence exactly rank 2
     rho = lossy_probe_density(0.3, 0.1, 1.0, 0.5)
-    jz = schwinger_ops(rho.cutoff).jz
-    full = qfi_mixed(rho, jz, eps_rank=1e-12)
-    coarse = qfi_mixed(rho, jz, eps_rank=0.4)
+    jy = schwinger_ops(rho.cutoff).jy
+    full = qfi_mixed(rho, jy, eps_rank=1e-12)
+    coarse = qfi_mixed(rho, jy, eps_rank=0.4)
     assert full.rank == 2
     assert coarse.rank == 1
 
@@ -174,10 +188,10 @@ def test_eps_rank_controls_retained_spectrum():
 def test_eps_rank_must_be_finite_and_non_negative(eps_rank):
     # a negative threshold admits p_i + p_j = 0 pairs, which gave 0/0 = nan
     factored = lossy_probe_density(0.3, 0.1, 1.0, 0.5)
-    jz = schwinger_ops(factored.cutoff).jz
+    jy = schwinger_ops(factored.cutoff).jy
     for rho in (factored, factored.matrix):
         with pytest.raises(DomainError, match="eps_rank must be finite and non-negative"):
-            qfi_mixed(rho, jz, eps_rank=eps_rank)
+            qfi_mixed(rho, jy, eps_rank=eps_rank)
     for T in (0.5, 1.0):
         with pytest.raises(DomainError, match="eps_rank must be finite and non-negative"):
             qfi_numeric(0.3, 0.1, 1.0, T, eps_rank=eps_rank)

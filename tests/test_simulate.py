@@ -77,62 +77,67 @@ def test_lossy_density_rank_two_structure():
 
 
 def test_full_transmission_pipeline_consistency():
-    # at T = 1 the J_z route after the splitter equals the J_y route before it
+    # at T = 1 the lossy route's density is the pure input, under J_y
     alpha, phi, omega = 0.3, 0.2, 2.0
     rho = lossy_probe_density(alpha, phi, omega, 1.0)
-    via_jz = qfi_mixed(rho, schwinger_ops(rho.cutoff).jz).value
+    via_mixed = qfi_mixed(rho, schwinger_ops(rho.cutoff).jy).value
     state = probe_state(alpha, phi, omega)
-    via_jy = qfi_pure(state, schwinger_ops(state.cutoff).jy).value
-    assert via_jz == pytest.approx(via_jy, abs=1e-9)
+    via_pure = qfi_pure(state, schwinger_ops(state.cutoff).jy).value
+    assert via_mixed == pytest.approx(via_pure, abs=1e-9)
 
 
-def _dense_split(state: TwoModeState) -> np.ndarray:
-    cutoff = state.cutoff
-    splitter = number_conserving_expm(two_mode_basis(cutoff), schwinger_ops(cutoff).jx,
-                                      math.pi / 2.0)
-    return splitter @ state.amplitudes
+def _dense_splitter(cutoff: FockCutoff) -> np.ndarray:
+    return number_conserving_expm(two_mode_basis(cutoff), schwinger_ops(cutoff).jx,
+                                  math.pi / 2.0)
 
 
 def test_kraus_fan_out_matches_density_loss_channel():
-    # the two-arm branch fan-out against the dense Kraus sum on rho
+    # loss in the input frame, then the splitter, against the dense splitter
+    # then the Kraus sum on rho
     cases = [(alpha, phi, omega, T)
              for alpha, phi, omega in ((0.3, 0.0, 0.0), (0.5, 0.7, OMEGA_67),
                                        (0.8, -1.1, math.pi))
              for T in (0.0, 0.37, 1.0)]
-    bright = (1.2, 0.4, 2.0, 0.1)   # default cutoff n_max 33: pruning drops rows
+    bright = (1.2, 0.4, 2.0, 0.1)   # default cutoff n_max 33: pruning drops groups
     for alpha, phi, omega, T in cases + [bright]:
         rho = lossy_probe_density(alpha, phi, omega, T)
-        pure = TwoModeState(_dense_split(probe_state(alpha, phi, omega, rho.cutoff)),
+        u = _dense_splitter(rho.cutoff)
+        pure = TwoModeState(u @ probe_state(alpha, phi, omega, rho.cutoff).amplitudes,
                             rho.cutoff)
         ref = loss_channel(pure_density(pure), LossSpec(T))
-        np.testing.assert_allclose(rho.matrix, ref.matrix, rtol=0, atol=1e-13)
-    # rows: K_k^A K_l^B psi in (k, l) order, less the lightest ones that
-    # together weigh at most PRUNE_MASS; arm B's dense Kraus matrices are
-    # freed before arm A's are built
-    rho = lossy_probe_density(*bright)
-    basis, spec = rho.basis, LossSpec(bright[3])
-    psi = _dense_split(probe_state(*bright[:3], rho.cutoff))
-    arm_b = [K @ psi for K in loss_kraus_operators(basis, 1, spec)]
-    products = [K @ v for K in loss_kraus_operators(basis, 0, spec) for v in arm_b]
-    norms = np.array([np.vdot(v, v).real for v in products])
-    lightest = np.argsort(norms, kind="stable")
-    light_mass = np.cumsum(norms[lightest])
-    dropped = set(lightest[: np.searchsorted(light_mass, PRUNE_MASS, side="right")])
-    kept = [v for i, v in enumerate(products) if i not in dropped]
-    assert len(kept) < len(products)
-    assert rho.branches.shape == (len(kept), basis.dim)
-    np.testing.assert_allclose(rho.branches, np.array(kept), rtol=0, atol=1e-15)
-
-
-def test_first_splitter_blocks_match_the_dense_unitary():
-    cutoff = FockCutoff(9)
-    basis = two_mode_basis(cutoff)
-    dense = number_conserving_expm(basis, schwinger_ops(cutoff).jx, math.pi / 2.0)
-    for u, blk in zip(simulate._first_splitter(cutoff.n_max), basis.block_slices):
-        np.testing.assert_allclose(u, dense[blk, blk], rtol=0, atol=1e-15)
-    state = probe_state(0.3, 0.4, 2.0, cutoff)
-    np.testing.assert_allclose(simulate._split(state), dense @ state.amplitudes,
-                               rtol=0, atol=1e-15)
+        np.testing.assert_allclose(u @ rho.matrix @ u.conj().T, ref.matrix,
+                                   rtol=0, atol=1e-13)
+    # rows: one per group (s = k + l, l mod 2) of the branches K_k^A K_l^B psi,
+    # in (s, parity) order, less the lightest groups that together weigh at
+    # most PRUNE_MASS; arm B's dense Kraus matrices are freed before arm A's
+    # are built
+    for point in ((0.8, -1.1, math.pi, 0.37), bright):
+        rho = lossy_probe_density(*point)
+        n_max, basis, spec = rho.cutoff.n_max, rho.basis, LossSpec(point[3])
+        psi = probe_state(*point[:3], rho.cutoff).amplitudes
+        arm_b = [K @ psi for K in loss_kraus_operators(basis, 1, spec)]
+        groups = {}
+        for k, K in enumerate(loss_kraus_operators(basis, 0, spec)):
+            for l, v in enumerate(arm_b):
+                groups.setdefault((k + l, l % 2), []).append(K @ v)
+        keys = sorted(groups)
+        mass = np.array([sum(np.vdot(v, v).real for v in groups[g]) for g in keys])
+        lightest = np.argsort(mass, kind="stable")
+        light_mass = np.cumsum(mass[lightest])
+        dropped = np.searchsorted(light_mass, PRUNE_MASS, side="right")
+        assert dropped > 0 and light_mass[dropped - 1] <= PRUNE_MASS
+        assert rho.pruned_mass == pytest.approx(light_mass[dropped - 1], rel=1e-12)
+        kept = np.sort(lightest[dropped:])
+        assert rho.branches.shape == (len(kept), basis.dim)
+        assert len(kept) <= 2 * (n_max + 1)
+        for row, g in zip(rho.branches, kept):
+            row_sq = np.vdot(row, row).real
+            assert row_sq == pytest.approx(mass[g], rel=1e-12)
+            for v in groups[keys[g]]:
+                v_sq = np.vdot(v, v).real
+                if v_sq:
+                    overlap = abs(np.vdot(row, v)) ** 2
+                    assert overlap == pytest.approx(row_sq * v_sq, rel=1e-12)
 
 
 def test_numeric_route_builds_no_dense_operator(monkeypatch):
@@ -143,18 +148,34 @@ def test_numeric_route_builds_no_dense_operator(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(fock, "hop_operator", refuse)
         m.setattr(channels, "number_conserving_expm", refuse)
+        m.setattr(channels, "splitter_blocks", refuse)
         m.setattr(fock.DensityMatrix, "matrix", property(refuse))
-        simulate._first_splitter.cache_clear()
         fock._schwinger_cached.cache_clear()
         got = {T: qfi_numeric(*point, T, cutoff).value for T in (0.0, 0.37, 1.0)}
         rhos = {T: lossy_probe_density(*point, T, cutoff) for T in (0.0, 0.37)}
         assert not {"jx", "jy", "jz"} & vars(schwinger_ops(cutoff)).keys()
     ops = schwinger_ops(cutoff)
-    ref = {T: qfi_mixed(rho.matrix, ops.jz).value for T, rho in rhos.items()}
+    ref = {T: qfi_mixed(rho.matrix, ops.jy).value for T, rho in rhos.items()}
     ref[1.0] = qfi_pure(probe_state(*point, cutoff).amplitudes, ops.jy).value
     assert ref[0.0] == 0.0
     for T, value in got.items():
         assert value == pytest.approx(ref[T], rel=1e-12, abs=0.0)
+
+
+def test_tight_cutoff_keeps_a_small_stack():
+    # n_max 20 is near the tail limit at alpha = 1.2: the truncation breaks
+    # the rank-2 structure, so the Ritz span grows to the full stack, and
+    # moves F by 1.6e-9 from the closed form
+    point, cutoff = (1.2, 0.3, 1.0, 0.7), FockCutoff(20)
+    result = qfi_numeric(*point, cutoff)
+    u = _dense_splitter(cutoff)
+    split = TwoModeState(u @ probe_state(*point[:3], cutoff).amplitudes, cutoff)
+    dense = loss_channel(pure_density(split), LossSpec(point[3])).matrix
+    oracle = qfi_mixed(dense, schwinger_ops(cutoff).jz).value
+    assert result.value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert result.value == pytest.approx(qfi_lossy(*point), rel=0.0, abs=1e-8)
+    assert lossy_probe_density(*point, cutoff).branches.shape[0] <= 42
+    assert result.discarded_weight <= RITZ_TOL
 
 
 def test_numeric_matches_analytic_lossless():
