@@ -184,46 +184,42 @@ def _kraus_groups(n_max: int) -> np.ndarray:
     return members
 
 
-def loss_fan_out(psi: np.ndarray, basis: FockBasis, T: float
-                 ) -> tuple[np.ndarray, float]:
-    """Loss of transmission T on both arms of the truncated probe psi, a
-    coherent times a cat amplitude sequence: one row per group (s = k + l,
-    l mod 2) of its Kraus branches K_k^A K_l^B psi, and the squared norm of
-    the groups left out.
+def loss_fan_out(state: TwoModeState, T: float) -> DensityMatrix:
+    """Loss of transmission T on both arms of the truncated probe `state`,
+    a coherent times a cat amplitude sequence, as a density of block
+    prefixes of two references.
 
-    The branches of a group are parallel (docs/formulas.md, "Loss
-    channel"); its row is its heaviest branch scaled to the group's summed
-    squared norm.  Branch norms are read off |psi|^2 on the occupation grid
-    before any branch is formed.  The lightest groups, as many as together
-    weigh at most PRUNE_MASS, are dropped, (0, odd) always; the rest come
-    in (s, parity) order, each one gather from the zero-padded grid,
-    weighted by arm A, then arm B, then scaled.
+    Every branch K_k^A K_l^B psi of a group (s = k + l, l mod 2) is a scalar
+    times M_{n_max - s} v_{l mod 2}, with v_0 = K_0^A K_0^B psi and
+    v_1 = K_0^A K_1^B psi (docs/formulas.md, "Loss channel").  So a group
+    is one row, the prefix of its reference up to block n_max - s, weighted
+    to the group's summed squared norm.  Branch norms are read off |psi|^2
+    on the occupation grid before anything is formed.  The lightest groups,
+    as many as together weigh at most PRUNE_MASS, are dropped, (0, odd)
+    always; the rest come in (s, parity) order.
     """
-    n = basis.n_max
+    n = state.cutoff.n_max
+    basis, psi = state.basis, state.amplitudes
     n_a, n_b = basis.occupations.T
-    width = 2 * n + 1
-    grid = np.zeros((width, width), dtype=complex)   # psi(n_A, n_B), 0 beyond n_max
-    grid[n_a, n_b] = psi
+    held = np.zeros((n + 1, n + 1))   # |psi(n_A, n_B)|^2
+    held[n_a, n_b] = psi.real**2 + psi.imag**2
     coef = loss_kraus_coefficients(n, T)
     sq = coef * coef
-    held = grid[: n + 1, : n + 1]
-    norms = sq @ (held.real**2 + held.imag**2) @ sq.T   # norms[k, l]
-    members = np.append(norms, 0.0)[_kraus_groups(n)]   # branch norms by group
-    mass = members.sum(axis=1)
+    norms = sq @ held @ sq.T   # norms[k, l]
+    mass = np.append(norms, 0.0)[_kraus_groups(n)].sum(axis=1)
     lightest = np.argsort(mass, kind="stable")
     light_mass = np.cumsum(mass[lightest])
     dropped = int(np.searchsorted(light_mass, PRUNE_MASS, side="right"))
     kept = np.sort(lightest[dropped:])   # empty groups weigh 0: dropped
-    heaviest = members[kept].argmax(axis=1)
     s, parity = np.divmod(kept, 2)
-    l = 2 * heaviest + parity
-    k = s - l
-    branches = np.take(grid, (k * width + l)[:, None] + (n_a * width + n_b))
-    coef = np.pad(coef, ((0, 0), (0, n)))   # zero beyond n_max, as the grid
-    branches *= coef[k[:, None], n_a + k[:, None]]
-    branches *= coef[l[:, None], n_b + l[:, None]]
-    branches *= np.sqrt(mass[kept] / members[kept, heaviest])[:, None]
-    return branches, float(light_mass[dropped - 1])
+    refs = np.zeros((2, basis.dim), dtype=complex)
+    refs[0] = psi * coef[0, n_a] * coef[0, n_b]
+    src, tgt = lowering_map(basis, 1, 1)
+    refs[1, tgt] = psi[src] * coef[1, n_b[src]] * coef[0, n_a[src]]
+    block_sq = np.add.reduceat(refs.real**2 + refs.imag**2, basis.block_starts, axis=1)
+    prefix_sq = np.cumsum(block_sq, axis=1)[parity, n - s]
+    return DensityMatrix(refs, state.cutoff, state.tail_mass, float(light_mass[dropped - 1]),
+                         (parity, n - s, mass[kept] / prefix_sq))
 
 
 def loss_channel(dm: DensityMatrix, spec: LossSpec) -> DensityMatrix:

@@ -90,6 +90,11 @@ class FockBasis:
             start += size
 
     @cached_property
+    def block_starts(self) -> np.ndarray:
+        """First index of each total-number block, in increasing total."""
+        return _read_only(np.array([blk.start for blk in self.block_slices]))
+
+    @cached_property
     def _lookup_table(self) -> np.ndarray:
         table = np.full((self.n_max + 1,) * self.n_modes, -1, dtype=np.int64)
         table[tuple(self.occupations.T)] = np.arange(self.dim)
@@ -351,30 +356,66 @@ class TwoModeState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Density operator on the truncated two-mode basis, held as a stack of
-    branch vectors: rho = sum_r |b_r><b_r| = branches.T @ branches.conj()
-    over the rows b_r, so it is Hermitian and positive by construction.
+    """Density operator on the truncated two-mode basis, held as weighted
+    block prefixes of reference vectors:
 
-    `qfi_mixed` works on the branches; the dense `matrix` is formed on
-    first read, for the oracles.  `tail_mass` is the input's truncation
-    tail and `pruned_mass` the trace of the branches left out of the stack.
+        rho = sum_r |b_r><b_r|,   b_r = sqrt(w_r) M_{N_r} refs[i_r],
+
+    with `rows` = (i, N, w), one entry per row, and M_N the projector on
+    the blocks of total photon number <= N, a prefix of the basis order.
+    So rho is Hermitian and positive by construction.  Without `rows`,
+    `DensityMatrix(stack, cutoff, tail_mass, pruned_mass)` is a plain
+    stack: every row is its own reference, at N = n_max and weight 1.
+
+    `qfi_mixed` works on the references; the row stack `branches` and the
+    dense `matrix` are formed on first read, for the oracles.  `tail_mass`
+    is the input's truncation tail and `pruned_mass` the trace of the rows
+    left out.
     """
 
-    branches: np.ndarray
+    refs: np.ndarray
     cutoff: FockCutoff
     tail_mass: float
     pruned_mass: float
+    rows: tuple | None = None   # (reference index, last block, weight) arrays
 
     def __post_init__(self):
-        branches = np.ascontiguousarray(self.branches, dtype=complex)
+        refs = np.ascontiguousarray(self.refs, dtype=complex)
+        n_max = self.cutoff.n_max
         dim = two_mode_basis(self.cutoff).dim
-        if branches.ndim != 2 or branches.shape[1] != dim:
+        if refs.ndim != 2 or refs.shape[1] != dim:
             raise DimensionMismatch(
-                f"branch stack shape {branches.shape} does not fit basis dim {dim}"
+                f"reference stack shape {refs.shape} does not fit basis dim {dim}"
             )
-        if branches.shape[0] == 0:
-            raise NotDensityMatrix("branch stack has no rows: the density would be 0")
-        object.__setattr__(self, "branches", _read_only(branches))
+        if self.rows is None:
+            count = len(refs)
+            ref, last, weight = np.arange(count), np.full(count, n_max), np.ones(count)
+        else:
+            ref, last, weight = self.rows
+            ref, last = np.asarray(ref, dtype=np.int64), np.asarray(last, dtype=np.int64)
+            weight = np.asarray(weight, dtype=float)
+            count = len(ref)
+            if not (ref.shape == last.shape == weight.shape == (count,)
+                    and np.all((0 <= ref) & (ref < len(refs)))
+                    and np.all((0 <= last) & (last <= n_max))):
+                raise DimensionMismatch(
+                    f"rows do not fit {len(refs)} references at n_max={n_max}"
+                )
+            if not np.all(weight >= 0.0):
+                raise NotDensityMatrix("row weights must be non-negative")
+        if count == 0:
+            raise NotDensityMatrix("the density has no rows: it would be 0")
+        object.__setattr__(self, "refs", _read_only(refs))
+        object.__setattr__(self, "rows", tuple(_read_only(x) for x in (ref, last, weight)))
+
+    @cached_property
+    def branches(self) -> np.ndarray:
+        """The rows b_r as one stack, row r in line r."""
+        ref, last, weight = self.rows
+        basis = self.basis
+        stops = np.append(basis.block_starts, basis.dim)[last + 1]
+        kept = np.arange(basis.dim) < stops[:, None]
+        return _read_only(np.sqrt(weight)[:, None] * np.where(kept, self.refs[ref], 0.0))
 
     @cached_property
     def matrix(self) -> np.ndarray:

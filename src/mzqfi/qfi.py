@@ -11,10 +11,11 @@ EPS_RANK; zero-weight pairs carry no information and would divide 0 by 0.
 The pair form avoids differentiating eigenvectors; the rearrangement from
 the derivative form is recorded in docs/formulas.md.
 
-A `DensityMatrix`, a stack of branch vectors, is solved on the small
-subspace its heaviest branches span, with the pairs reaching outside that
-subspace summed in closed form.  A raw dense array is diagonalized in full,
-as the oracle of that route.
+A `DensityMatrix`, rows that are weighted block prefixes of a few
+reference vectors, is solved on the small subspace its heaviest references
+span, with the pairs reaching outside that subspace summed in closed form;
+its rows are never formed.  A raw dense array is diagonalized in full, as
+the oracle of that route.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .fock import (
 
 EPS_RANK = 1e-12     # pair weight below this is treated as rank deficient
 EIG_FLOOR = -1e-8    # density eigenvalues below this mean the matrix is not a state
-RITZ_START = 4       # heaviest branches spanning the first Ritz subspace
+RITZ_START = 4       # heaviest references spanning the first Ritz subspace
 RITZ_TOL = 1e-20     # trace a certified Ritz subspace may leave out
 
 
@@ -158,31 +159,60 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _ritz_pairs(branches: np.ndarray, pruned_mass: float
-                ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rayleigh-Ritz pairs of rho = branches.T @ branches.conj() on the span
-    of its heaviest branches, and a bound on the trace of rho outside it.
+def _reference_forms(rho: DensityMatrix):
+    """(refs, rows) of rho, then, if a row is cut short of n_max, the
+    formed rows as their own references."""
+    yield rho.refs, rho.rows
+    n_max, last = rho.cutoff.n_max, rho.rows[1]
+    if np.any(last < n_max):
+        count = len(last)
+        yield rho.branches, (np.arange(count), np.full(count, n_max), np.ones(count))
 
-    The branches stand for a density whose other branches, of total trace
-    `pruned_mass`, were never formed.  The span starts at the RITZ_START
-    heaviest branches and doubles until the weight it leaves out, plus
-    `pruned_mass`, is at most RITZ_TOL; at the full stack it holds the
-    support of the stack, so the Ritz pairs are its eigenpairs.  The weight
-    is the squared norm of the branches' residual outside the span, which
-    does not cancel the way Tr rho - Tr(Q^dag rho Q) does.
+
+def _ritz_pairs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rayleigh-Ritz pairs of rho on the span of its heaviest references,
+    and a bound on the trace of rho outside that span.
+
+    Row r of rho is b_r = sqrt(w_r) M_{N_r} ref (see DensityMatrix), and
+    rows of total trace `rho.pruned_mass` were never formed.  The span
+    starts at the RITZ_START references whose rows carry the most trace
+    and doubles until the bound is at most RITZ_TOL.  With P the projector
+    on the span, ||(I - P) b_r|| <= sqrt(w_r) (||(I - P) ref|| +
+    ||(I - M_N) ref||): the reference's residual outside the span and its
+    tail past block N, both sums of squares, which do not cancel.  The
+    coordinates Q^dag b_r are block-cumulative overlaps of each reference
+    with Q.  Once the span holds every reference, the loop goes on with
+    the formed rows as references; at the full row stack the span holds
+    the support of rho, so the Ritz pairs are its eigenpairs.
     """
-    pairs = branches.view(float)
-    heaviest = np.argsort(-np.einsum("ij,ij->i", pairs, pairs), kind="stable")
-    k = RITZ_START
-    while True:
-        q, _ = np.linalg.qr(branches[heaviest[:k]].T)
-        c = branches @ q.conj()       # row r: coordinates of branch r in the span
-        residual = c @ q.T
-        residual -= branches
-        discarded = float(np.vdot(residual, residual).real) + pruned_mass
-        if discarded <= RITZ_TOL or k >= len(branches):
+    starts = rho.basis.block_starts
+    for refs, (row_ref, row_last, row_weight) in _reference_forms(rho):
+        block_sq = np.add.reduceat(_abs2(refs), starts, axis=1)
+        tail_sq = np.zeros_like(block_sq)   # blocks after N, summed from the last
+        tail_sq[:, :-1] = np.cumsum(block_sq[:, :0:-1], axis=1)[:, ::-1]
+        row_tail = np.sqrt(tail_sq[row_ref, row_last])
+        row_sq = row_weight * np.cumsum(block_sq, axis=1)[row_ref, row_last]
+        carried = np.bincount(row_ref, row_sq, minlength=len(refs))
+        heaviest = np.argsort(-carried, kind="stable")
+        k = RITZ_START
+        while True:
+            q, _ = np.linalg.qr(refs[heaviest[:k]].T)
+            whole = refs @ q.conj()   # Q^dag ref
+            outside = refs - whole @ q.T
+            gap = np.sqrt(np.einsum("ij,ij->i", outside.view(float), outside.view(float)))
+            discarded = (float(np.sum(row_weight * (gap[row_ref] + row_tail) ** 2))
+                         + rho.pruned_mass)
+            if discarded <= RITZ_TOL or k >= len(refs):
+                break
+            k *= 2
+        if discarded <= RITZ_TOL:
             break
-        k *= 2
+    c = whole[row_ref]   # Q^dag b_r / sqrt(w_r) of a full-length row
+    cut = row_last < rho.cutoff.n_max
+    if cut.any():   # block sums only where a row is cut short
+        per_block = np.add.reduceat(refs[:, None, :] * q.T.conj(), starts, axis=2)
+        c[cut] = np.cumsum(per_block, axis=2)[row_ref[cut], :, row_last[cut]]
+    c *= np.sqrt(row_weight)[:, None]
     p, u = np.linalg.eigh(c.T @ c.conj())
     p = np.clip(p[::-1], 0.0, None)
     return p, q @ u[:, ::-1], discarded
@@ -191,7 +221,7 @@ def _ritz_pairs(branches: np.ndarray, pruned_mass: float
 def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
     """Spectral-sum QFI of a mixed probe under generator G.
 
-    A `DensityMatrix` is solved on the Ritz subspace of its branches: the
+    A `DensityMatrix` is solved on the Ritz subspace of its references: the
     pair sum over the Ritz pairs plus the exact complement term
     4 sum_{p_i > eps_rank} p_i (<i|G^2|i> - sum_{j in Ritz} |G_ij|^2)
     (docs/formulas.md, "Factored spectral sum").  A raw array is
@@ -213,7 +243,7 @@ def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
 
 
 def _qfi_factored(rho: DensityMatrix, generator, eps_rank: float) -> QfiResult:
-    p, w, discarded = _ritz_pairs(rho.branches, rho.pruned_mass)
+    p, w, discarded = _ritz_pairs(rho)
     gw = _apply_generator(generator, rho.cutoff, w)
     g_abs2 = _abs2(w.conj().T @ gw)
     complement = _abs2(gw).sum(axis=0) - g_abs2.sum(axis=1)

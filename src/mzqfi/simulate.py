@@ -4,10 +4,11 @@ Pipeline for the mixed probe: product input -> photon loss of
 transmittance T on both arms, as a Kraus fan-out of the pure state.  Equal
 loss commutes with the first splitter exp(i (pi/2) J_x), so it is taken in
 the input frame, where the phase generator J_z between the splitters is
-J_y, as on the lossless route.  There the branches of one Kraus group
-(k + l, l mod 2), k photons lost from arm A and l from arm B, are
-parallel, so each group is one row of the density's branch stack.  The
-density is never formed: its QFI is solved on the span of the branches.
+J_y, as on the lossless route.  There every branch of one Kraus group
+(k + l, l mod 2), k photons lost from arm A and l from arm B, is a
+block prefix of one of two reference vectors, the attenuated even and odd
+branches, so each group is one weighted prefix.  Neither the density nor
+its rows are formed: its QFI is solved on the span of the two references.
 No splitter and no dense two-mode operator is built.
 """
 from __future__ import annotations
@@ -75,10 +76,10 @@ def lossy_probe_density(
 ) -> DensityMatrix:
     """Mixed probe after per-arm loss, in the input frame: loss applied to
     the product input, before the first splitter.  Its phase generator is
-    J_y.  Held as its branch stack, one row per surviving Kraus group."""
+    J_y.  Held as weighted block prefixes of its two references, one row
+    per surviving Kraus group."""
     state = probe_state(alpha, phi, omega, cutoff, tol_tail)
-    branches, pruned = loss_fan_out(state.amplitudes, state.basis, transmission)
-    return DensityMatrix(branches, state.cutoff, state.tail_mass, pruned)
+    return loss_fan_out(state, transmission)
 
 
 def qfi_numeric(

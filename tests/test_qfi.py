@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import mzqfi.qfi as qfi
 from mzqfi import (
     EPS_RANK,
     BeamSplitterSpec,
@@ -30,6 +31,7 @@ from mzqfi import (
     two_mode_basis,
     uhlmann_fidelity,
 )
+from mzqfi.qfi import RITZ_TOL
 
 
 def _coherent_vacuum(gamma, cutoff):
@@ -221,6 +223,62 @@ def test_factored_route_widens_to_a_rank_12_stack():
             assert got.discarded_weight <= EPS_RANK
             assert ref.discarded_weight == 0.0
     assert qfi_mixed(rho, GeneratorChoice("jz")).rank == 12
+
+
+def test_strong_loss_certifies_on_one_span(monkeypatch):
+    # at T = 0.05 the heaviest rows all share one cat parity; the span of
+    # the two parity references certifies at once, with a single QR
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    result = qfi_numeric(1.447, 1.31, 0.79, 0.05)
+    assert len(calls) == 1
+    assert result.discarded_weight <= RITZ_TOL
+
+
+PREFIX_POINTS = ([((0.8, 0.3, math.pi, T), None) for T in (0.0, 1e-13, 0.05, 0.37, 0.999999)]
+                 + [((alpha, 0.3, 1.0, 0.5), None) for alpha in (0.0, 1e-7, 0.05)]
+                 + [((1.2, 0.3, 1.0, 0.7), FockCutoff(20))])
+
+
+@pytest.mark.parametrize("point, cutoff", PREFIX_POINTS)
+def test_prefix_form_matches_its_formed_stack(point, cutoff):
+    # the lossy density as prefixes of its two references, against the
+    # plain stack of its formed rows and the dense eigensolve; at n_max 20
+    # the alpha = 1.2 point certifies only on the formed rows
+    rho = lossy_probe_density(*point, cutoff)
+    plain = DensityMatrix(rho.branches, rho.cutoff, rho.tail_mass, rho.pruned_mass)
+    jy = GeneratorChoice("jy")
+    got, ref = qfi_mixed(rho, jy), qfi_mixed(plain, jy)
+    dense = qfi_mixed(rho.matrix, schwinger_ops(rho.cutoff).jy)
+    assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+    assert got.value == pytest.approx(dense.value, rel=1e-12, abs=0.0)
+    assert got.rank == ref.rank == dense.rank
+    # the bound covers the formed rows' residual on the same span, which at
+    # rounding level is only known to (dim eps)^2
+    _, span, bound = qfi._ritz_pairs(rho)
+    rows = rho.branches
+    outside = np.linalg.norm(rows - (rows @ span.conj()) @ span.T) ** 2
+    rounding = (rho.basis.dim * np.finfo(float).eps) ** 2
+    assert bound == got.discarded_weight <= RITZ_TOL
+    assert outside + rho.pruned_mass <= bound + rounding
+
+
+def test_prefix_rows_are_weighted_block_prefixes():
+    cutoff = FockCutoff(2)   # blocks [0], [1, 2], [3, 4, 5]
+    refs = np.arange(12.0).reshape(2, 6) + 1j
+    rho = DensityMatrix(refs, cutoff, 0.0, 0.0, ([1, 0, 1], [0, 1, 2], [4.0, 1.0, 0.25]))
+    expected = np.zeros((3, 6), dtype=complex)
+    expected[0, :1] = 2.0 * refs[1, :1]
+    expected[1, :3] = refs[0, :3]
+    expected[2] = 0.5 * refs[1]
+    np.testing.assert_array_equal(rho.branches, expected)
+    for rows in (([2], [0], [1.0]), ([0], [3], [1.0]), ([0, 1], [0], [1.0])):
+        with pytest.raises(DimensionMismatch):
+            DensityMatrix(refs, cutoff, 0.0, 0.0, rows)
+    for rows in (([], [], []), ([0], [1], [-1.0]), ([0], [1], [math.nan])):
+        with pytest.raises(NotDensityMatrix):
+            DensityMatrix(refs, cutoff, 0.0, 0.0, rows)
 
 
 def test_branch_backed_density_checks_its_stack():

@@ -142,7 +142,8 @@ def test_kraus_fan_out_matches_density_loss_channel():
 
 def test_numeric_route_builds_no_dense_operator(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the numeric route built a dense two-mode operator")
+        raise AssertionError("the numeric route built a dense two-mode operator "
+                             "or the per-row branch stack")
 
     point, cutoff = (0.3, 0.4, 2.0), FockCutoff(18)
     with monkeypatch.context() as m:
@@ -150,6 +151,7 @@ def test_numeric_route_builds_no_dense_operator(monkeypatch):
         m.setattr(channels, "number_conserving_expm", refuse)
         m.setattr(channels, "splitter_blocks", refuse)
         m.setattr(fock.DensityMatrix, "matrix", property(refuse))
+        m.setattr(fock.DensityMatrix, "branches", property(refuse))
         fock._schwinger_cached.cache_clear()
         got = {T: qfi_numeric(*point, T, cutoff).value for T in (0.0, 0.37, 1.0)}
         rhos = {T: lossy_probe_density(*point, T, cutoff) for T in (0.0, 0.37)}
