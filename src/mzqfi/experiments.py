@@ -43,9 +43,14 @@ FIGURE_IDS = ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2c")
 _METHODS = ("analytic", "numeric", "both")
 
 
+_DEFAULT_PHI_GRID = tuple(
+    np.linspace(-math.pi / 2.0, math.pi / 2.0, PHI_POINTS, endpoint=False).tolist())
+
+
 def default_phi_grid() -> tuple[float, ...]:
-    """PHI_POINTS equally spaced phases in [-pi/2, pi/2)."""
-    return tuple(np.linspace(-math.pi / 2.0, math.pi / 2.0, PHI_POINTS, endpoint=False))
+    """PHI_POINTS equally spaced phases in [-pi/2, pi/2): the np.linspace
+    values as Python floats, computed once; every call returns this tuple."""
+    return _DEFAULT_PHI_GRID
 
 
 def default_omega_grid(points: int = OMEGA_POINTS) -> tuple[float, ...]:
@@ -108,9 +113,13 @@ class SweepGrid:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepRecord:
-    """One evaluated grid point; None marks a column not computed."""
+    """One evaluated grid point; None marks a column not computed.
+
+    __init__ stores the instance dict in one write; the generated one of a
+    frozen dataclass makes one object.__setattr__ call per field.
+    """
 
     alpha: float
     phi: float
@@ -123,6 +132,13 @@ class SweepRecord:
     N: float
     N_sq: float
 
+    def __init__(self, alpha, phi, omega, T, F_analytic, F_numeric, abs_err,
+                 tail_mass, N, N_sq):
+        object.__setattr__(self, "__dict__", {
+            "alpha": alpha, "phi": phi, "omega": omega, "T": T,
+            "F_analytic": F_analytic, "F_numeric": F_numeric, "abs_err": abs_err,
+            "tail_mass": tail_mass, "N": N, "N_sq": N_sq})
+
 
 def analytic_curve(alpha: float, omega: float, T: float
                    ) -> LosslessPhiCurve | LossyPhiCurve:
@@ -134,10 +150,11 @@ def analytic_curve(alpha: float, omega: float, T: float
 
 
 class _PointEvaluator:
-    """evaluate_point at fixed (alpha, omega, T, method, n_max), one phi per call.
+    """evaluate_point at fixed (alpha, omega, T, method, n_max), over a phi column.
 
     The one place that picks the routes for a point and assembles its
-    record, behind evaluate_point, run_grid, scan_phi and `mzqfi eval`.
+    record (column), behind evaluate_point, run_grid, scan_phi and
+    `mzqfi eval`.
     The input checks (n_max whatever the method), the closed-form
     coefficients, the cutoff and the photon number do not depend on phi,
     so they are done once per evaluator.  numeric_options (tol_tail,
@@ -169,17 +186,26 @@ class _PointEvaluator:
         numeric value when that is the only route."""
         return self.numeric(phi).value if self.curve is None else self.curve(phi)
 
+    def column(self, phis) -> list[SweepRecord]:
+        """The records at each phi of phis, in order."""
+        alpha, omega, T, curve = self.alpha, self.omega, self.T, self.curve
+        run_numeric, n_total = self.run_numeric, self.n_total
+        n_sq = n_total * n_total
+        records = []
+        for phi in phis:
+            f_analytic = None if curve is None else curve(phi)
+            f_numeric = tail = abs_err = None
+            if run_numeric:
+                res = self.numeric(phi)
+                f_numeric, tail = res.value, res.tail_mass
+                if f_analytic is not None:
+                    abs_err = abs(f_analytic - f_numeric)
+            records.append(SweepRecord(alpha, phi, omega, T, f_analytic, f_numeric,
+                                       abs_err, tail, n_total, n_sq))
+        return records
+
     def __call__(self, phi: float) -> SweepRecord:
-        f_analytic = None if self.curve is None else self.curve(phi)
-        f_numeric = tail = abs_err = None
-        if self.run_numeric:
-            res = self.numeric(phi)
-            f_numeric, tail = res.value, res.tail_mass
-            if f_analytic is not None:
-                abs_err = abs(f_analytic - f_numeric)
-        n_total = self.n_total
-        return SweepRecord(self.alpha, phi, self.omega, self.T, f_analytic, f_numeric,
-                           abs_err, tail, n_total, n_total * n_total)
+        return self.column((phi,))[0]
 
 
 def evaluate_point(
@@ -293,7 +319,7 @@ def scan_phi(
     _check_axis("phi_grid", phi_grid)
     _check_phi_window(phi_grid)
     point = _PointEvaluator(alpha, omega, T, method, n_max)
-    records = tuple(point(p) for p in phi_grid)
+    records = tuple(point.column(phi_grid))
     f = point.value
     values = np.array([r.F_numeric if point.curve is None else r.F_analytic
                        for r in records])

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import pickle
 import re
 from types import SimpleNamespace
 
@@ -46,6 +47,9 @@ from mzqfi.cli import main
 def test_default_phi_grid_shape():
     grid = default_phi_grid()
     assert len(grid) == 201
+    assert all(type(phi) is float for phi in grid)
+    assert grid == tuple(np.linspace(-math.pi / 2.0, math.pi / 2.0, 201, endpoint=False))
+    assert default_phi_grid() is grid
     assert grid[0] == pytest.approx(-math.pi / 2.0)
     assert grid[-1] < math.pi / 2.0
     steps = np.diff(grid)
@@ -198,6 +202,8 @@ _SHORT_GRID = tuple(np.linspace(-1.5, 1.5, 9))
     (0.5, 1.0, 0.0, "analytic", None),
     (0.0, 1.0, 0.5, "analytic", None),
     (4.5, 2.5, 0.6, "analytic", None),
+    (9.5, 0.99 * math.pi, 0.1, "analytic", None),
+    (6.0, 0.0, 1.0, "analytic", None),
     (0.3, 6.0 * math.pi / 7.0, 0.6, "both", _SHORT_GRID),
     (0.3, 1.0, 1.0, "both", _SHORT_GRID),
     (0.5, 0.1, 0.0, "both", _SHORT_GRID),
@@ -322,6 +328,37 @@ def test_json_round_trip_preserves_meta(tmp_path):
     loaded, meta = read_records(str(path))
     assert meta == {"figure": "custom", "n_max": 9}
     assert loaded == records
+
+
+def test_sweep_record_keeps_the_frozen_dataclass_contract():
+    values = (0.3, -0.2, 1.0, 0.8, 2.5, 2.4, 0.1, 1e-17, 0.09, 0.0081)
+    rec = experiments.SweepRecord(*values)
+    assert tuple(f.name for f in dataclasses.fields(rec)) == CSV_COLUMNS
+    assert experiments.SweepRecord(**dict(zip(CSV_COLUMNS, values))) == rec
+    assert hash(experiments.SweepRecord(*values)) == hash(rec)
+    assert rec != experiments.SweepRecord(*values[:-1], 0.0)
+    assert repr(rec).startswith("SweepRecord(alpha=0.3, phi=-0.2, omega=1.0,")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.phi = 0.0
+    with pytest.raises(TypeError):
+        experiments.SweepRecord(*values[:-1])
+    assert dataclasses.astuple(rec) == values
+    assert dataclasses.replace(rec, phi=0.5) == experiments.SweepRecord(
+        0.3, 0.5, *values[2:])
+    # the --jobs pool pickles each record back to the parent process
+    assert pickle.loads(pickle.dumps(rec)) == rec
+
+
+def test_default_grid_scan_writes_the_bytes_of_the_numpy_grid(tmp_path):
+    numpy_grid = tuple(np.linspace(-math.pi / 2.0, math.pi / 2.0, 201, endpoint=False))
+    for alpha, omega, T in ((0.3, 2.0, 0.83), (0.8, 1.0, 1.0)):
+        for name, grid in (("floats", None), ("numpy", numpy_grid)):
+            records = scan_phi(alpha, omega, T, phi_grid=grid).records
+            write_records_csv(str(tmp_path / f"{name}.csv"), records)
+            write_records_json(str(tmp_path / f"{name}.json"), records)
+        for ext in ("csv", "json"):
+            assert ((tmp_path / f"floats.{ext}").read_bytes()
+                    == (tmp_path / f"numpy.{ext}").read_bytes())
 
 
 def test_read_records_rejects_foreign_header(tmp_path):
