@@ -30,26 +30,13 @@ from .fock import (
     TwoModeState,
     cat_state,
     coherent_amplitudes,
-    expectation,
     fock_basis,
-    hop_operator,
     input_state,
-    lowering_power,
     pure_density,
     schwinger_ops,
     two_mode_basis,
 )
-from .channels import (
-    PRUNE_MASS,
-    BeamSplitterSpec,
-    LossSpec,
-    beam_splitter_unitary,
-    loss_channel,
-    loss_kraus_coefficients,
-    loss_kraus_operators,
-    number_conserving_expm,
-    phase_shift_unitary,
-)
+from .channels import PRUNE_MASS, loss_kraus_coefficients
 from .qfi import (
     EPS_RANK,
     GeneratorChoice,
@@ -57,6 +44,17 @@ from .qfi import (
     qfi_mixed,
     qfi_pure,
     spectral_decomposition,
+)
+from .oracle import (
+    BeamSplitterSpec,
+    beam_splitter_unitary,
+    expectation,
+    hop_operator,
+    loss_channel,
+    loss_kraus_operators,
+    lowering_power,
+    number_conserving_expm,
+    phase_shift_unitary,
     uhlmann_fidelity,
 )
 from .analytic import (

@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,6 +370,8 @@ def figure_dataset(figure_id: str, n_max: int | None = None,
     """
     if figure_id not in FIGURE_IDS:
         raise DomainError(f"unknown figure id {figure_id!r}; expected {FIGURE_IDS}")
+    if n_max is not None:
+        FockCutoff(n_max)   # checked for every panel, fig1c's analytic one included
     if figure_id in ("fig1a", "fig1b"):
         omega = 0.0 if figure_id == "fig1a" else 6.0 * math.pi / 7.0
         eff_n_max = 20 if n_max is None else n_max
@@ -511,11 +514,13 @@ def write_records_json(path: str, records, meta: dict | None = None) -> None:
 
 
 def _is_cell(value) -> bool:
-    """A record cell: null or a finite number; a boolean is not a number here."""
+    """A record cell: null or a number within the finite float range (ints
+    compare exactly, so one too large for a float is out); a boolean is not
+    a number here."""
     if isinstance(value, bool):
         return False
-    return value is None or isinstance(value, int) or (
-        isinstance(value, float) and math.isfinite(value))
+    return value is None or (isinstance(value, (int, float))
+                             and abs(value) <= sys.float_info.max)
 
 
 def _csv_record(path: str, line: int, row: list[str]) -> SweepRecord:
@@ -535,8 +540,9 @@ def read_records(path: str) -> tuple[list[SweepRecord], dict | None]:
     """Round-trip reader for both output formats.
 
     A JSON record that is not an object, a record with a missing or extra
-    column, or a cell that is not a finite number (booleans, NaN and
-    infinities included), raises DomainError naming the path and the record.
+    column, or a cell that is not a finite number (booleans, NaN,
+    infinities and integers too large for a float included), raises
+    DomainError naming the path and the record.
     """
     if path.endswith(".json"):
         with open(path) as fh:

@@ -1,9 +1,11 @@
-"""Truncated Fock space: number bases, bosonic operators, probe states.
+"""Truncated Fock space: number bases, occupation-shift maps, probe states
+and the density form the production route hands on.
 
 The working Hilbert space keeps every number state |n_1, ..., n_m> with
 n_1 + ... + n_m <= n_max.  Truncating on the *total* photon number (rather
 than per mode) keeps number-conserving operators, and the unitaries built
-from them, exact on the retained space.
+from them, exact on the retained space.  Operators act here as index maps
+on the occupations; their dense matrices are oracles, in `mzqfi.oracle`.
 
 Basis ordering (fixed, so emitted matrices and golden files are
 reproducible): blocks of constant total photon number N in increasing N;
@@ -144,46 +146,13 @@ def lowering_map(basis: FockBasis, mode: int, k: int) -> tuple[np.ndarray, np.nd
     return shift_map(basis, tuple(-k if m == mode else 0 for m in range(basis.n_modes)))
 
 
-@lru_cache(maxsize=None)
-def hop_map(basis: FockBasis, to_mode: int, from_mode: int
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, tgt, weights) of a_to^dagger a_from for two distinct modes:
-    a_to^dagger a_from |src> = weights |tgt>, from shift_map."""
-    delta = tuple((m == to_mode) - (m == from_mode) for m in range(basis.n_modes))
-    src, tgt = shift_map(basis, delta)
-    occ = basis.occupations
-    weights = np.sqrt((occ[src, from_mode] * (occ[src, to_mode] + 1)).astype(float))
-    weights.setflags(write=False)
-    return src, tgt, weights
-
-
-def hop_operator(basis: FockBasis, to_mode: int, from_mode: int) -> np.ndarray:
-    """Matrix of a_to^dagger a_from.  Number conserving, exact on the basis."""
-    if to_mode == from_mode:
-        return np.diag(basis.occupations[:, to_mode].astype(float)).astype(complex)
-    src, tgt, weights = hop_map(basis, to_mode, from_mode)
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    out[tgt, src] = weights
-    return out
-
-
-def lowering_power(basis: FockBasis, mode: int, k: int) -> np.ndarray:
-    """Matrix of a_mode^k.  Lowers total photon number, exact on the basis."""
-    src, tgt = lowering_map(basis, mode, k)
-    sqrt_perm = np.array([math.sqrt(math.perm(n, k)) for n in range(basis.n_max + 1)])
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    out[tgt, src] = sqrt_perm[basis.occupations[src, mode]]
-    return out
-
-
 @dataclass(frozen=True)
 class SchwingerOps:
-    """Angular-momentum images of the two-mode algebra.
-
+    """What the production route needs of the two-mode algebra
     jx = (a^dag b + b^dag a)/2, jy = (a^dag b - b^dag a)/(2i),
-    jz = (a^dag a - b^dag b)/2.  All block diagonal in total photon number.
-    Each dense matrix is built on first read; `jz_diagonal` (J_z's diagonal)
-    and `hop_weights` (a^dag b's weights) are read from the occupations.
+    jz = (a^dag a - b^dag b)/2, read from the occupations: `jz_diagonal`
+    (J_z's diagonal) and `hop_weights` (a^dag b's weights).  The dense
+    matrices are oracles (`mzqfi.oracle.schwinger_matrices`).
     """
 
     cutoff: FockCutoff
@@ -202,20 +171,6 @@ class SchwingerOps:
         """w with a^dag b |j> = w[j] |j - 1>: sqrt(n_B (n_A + 1)), 0 on block starts."""
         occ = self.basis.occupations
         return _read_only(np.sqrt((occ[:, 1] * (occ[:, 0] + 1)).astype(float)))
-
-    @cached_property
-    def jx(self) -> np.ndarray:
-        hop_ab = hop_operator(self.basis, 0, 1)   # a^dag b
-        return _read_only(0.5 * (hop_ab + hop_ab.conj().T))
-
-    @cached_property
-    def jy(self) -> np.ndarray:
-        hop_ab = hop_operator(self.basis, 0, 1)
-        return _read_only((hop_ab - hop_ab.conj().T) / 2j)
-
-    @cached_property
-    def jz(self) -> np.ndarray:
-        return _read_only(np.diag(self.jz_diagonal).astype(complex))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -461,24 +416,17 @@ def input_state(
 
     The product of the exact single-mode amplitude sequences is projected
     onto total photon number <= n_max and renormalized; the discarded mass
-    is reported as tail_mass.
+    is reported as tail_mass.  A tol_tail that is not finite and
+    non-negative is a DomainError: NaN would turn the tail check off.
     """
     if alpha < 0:
         raise DomainError("alpha must be non-negative")
     check_phi(phi)
+    if not (math.isfinite(tol_tail) and tol_tail >= 0.0):
+        raise DomainError(f"tol_tail must be finite and non-negative, got {tol_tail!r}")
     n_max = cutoff.n_max
     gamma = 1j * alpha * complex(math.cos(phi), math.sin(phi))
     psi = two_mode_product(coherent_sequence(gamma, n_max), _cat_sequence(cat, n_max),
                            cutoff)
     psi, tail = _renormalize(psi, tol_tail, f"input alpha={alpha:.4g}, n_max={n_max}")
     return TwoModeState(psi, cutoff, tail_mass=tail)
-
-
-def expectation(state: TwoModeState, operator: np.ndarray) -> complex:
-    """<psi|O|psi> of a two-mode state."""
-    vec = state.amplitudes
-    if operator.shape != (vec.shape[0], vec.shape[0]):
-        raise DimensionMismatch(
-            f"operator shape {operator.shape} vs state dim {vec.shape[0]}"
-        )
-    return complex(np.vdot(vec, operator @ vec))

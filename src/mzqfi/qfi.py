@@ -15,7 +15,9 @@ A `DensityMatrix`, rows that are weighted block prefixes of a few
 reference vectors, is solved on the small subspace its heaviest references
 span, with the pairs reaching outside that subspace summed in closed form;
 its rows are never formed.  A raw dense array is diagonalized in full, as
-the oracle of that route.
+the oracle of that route, and needs a dense generator; a `GeneratorChoice`
+is applied as an index map and has no matrix.  The Uhlmann fidelity and
+the Bures finite-difference cross-check are oracles, in `mzqfi.oracle`.
 """
 from __future__ import annotations
 
@@ -48,10 +50,6 @@ class GeneratorChoice:
         if self.which not in ("jy", "jz"):
             raise DomainError(f"generator must be 'jy' or 'jz', got {self.which!r}")
 
-    def matrix(self, cutoff: FockCutoff) -> np.ndarray:
-        ops = schwinger_ops(cutoff)
-        return ops.jy if self.which == "jy" else ops.jz
-
     def apply(self, cutoff: FockCutoff, vecs: np.ndarray) -> np.ndarray:
         """G @ vecs without a dense G: J_z as the occupation diagonal, J_y
         as a one-index shift (a^dag b |j> = w[j] |j - 1>)."""
@@ -66,14 +64,13 @@ class GeneratorChoice:
         return out / 2j
 
 
-def _resolve_generator(gen, cutoff: FockCutoff | None) -> np.ndarray:
+def _generator_matrix(gen) -> np.ndarray:
+    """A dense generator as an array; a GeneratorChoice has no matrix here."""
     if isinstance(gen, GeneratorChoice):
-        if cutoff is None:
-            raise DimensionMismatch(
-                "GeneratorChoice needs a state/density with a cutoff; "
-                "pass an explicit matrix for raw arrays"
-            )
-        return gen.matrix(cutoff)
+        raise DimensionMismatch(
+            "GeneratorChoice needs a state/density with a cutoff; "
+            "pass an explicit matrix for raw arrays"
+        )
     return np.asarray(gen)
 
 
@@ -82,7 +79,7 @@ def _apply_generator(gen, cutoff: FockCutoff | None, vecs: np.ndarray) -> np.nda
     without forming its matrix."""
     if isinstance(gen, GeneratorChoice) and cutoff is not None:
         return gen.apply(cutoff, vecs)
-    mat = _resolve_generator(gen, cutoff)
+    mat = _generator_matrix(gen)
     if mat.shape != (vecs.shape[0],) * 2:
         raise DimensionMismatch(f"generator shape {mat.shape} vs dim {vecs.shape[0]}")
     return mat @ vecs
@@ -231,7 +228,7 @@ def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
     if isinstance(rho, DensityMatrix):
         return _qfi_factored(rho, generator, eps_rank)
     mat = np.asarray(rho, dtype=complex)
-    gen = _resolve_generator(generator, None)
+    gen = _generator_matrix(generator)
     if gen.shape != mat.shape:
         raise DimensionMismatch(
             f"generator shape {gen.shape} vs density shape {mat.shape}"
@@ -252,52 +249,3 @@ def _qfi_factored(rho: DensityMatrix, generator, eps_rank: float) -> QfiResult:
              + 4.0 * float(np.sum(p[kept] * complement[kept])))
     return QfiResult(value, "spectral", tail_mass=rho.tail_mass,
                      rank=int(np.count_nonzero(kept)), discarded_weight=discarded)
-
-
-def qfi_unitary_invariance_check(rho: DensityMatrix, generator, unitary: np.ndarray
-                                 ) -> float:
-    """|F(rho, G) - F(U rho U^dag, U G U^dag)| for a theta-independent U,
-    both on the dense route.
-
-    Zero up to roundoff; this is why a fixed second beam splitter can be
-    dropped from the lossy pipeline.
-    """
-    mat = rho.matrix
-    gen = _resolve_generator(generator, rho.cutoff)
-    base = qfi_mixed(mat, gen).value
-    rot = qfi_mixed(
-        unitary @ mat @ unitary.conj().T,
-        unitary @ gen @ unitary.conj().T,
-    ).value
-    return abs(base - rot)
-
-
-def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of two branch stacks.
-
-    With rho = A A^dag and sigma = C C^dag (A = rho.branches.T), the trace
-    is the nuclear norm of A^dag C = conj(B_rho) B_sigma^T: the sum of the
-    singular values of the branches' overlap matrix (docs/formulas.md,
-    "Fidelity from branch overlaps").  No square root of either density is
-    formed.
-    """
-    overlaps = rho.branches.conj() @ sigma.branches.T
-    return float(np.sum(np.linalg.svd(overlaps, compute_uv=False))) ** 2
-
-
-def qfi_fidelity_estimate(rho: DensityMatrix, generator) -> float:
-    """Finite-difference QFI 8 (1 - sqrt(Fid(rho, rho_delta))) / delta^2.
-
-    Independent numerical route: rho_delta = e^{-i delta G} rho e^{i delta G}
-    with delta = 1e-3, formed by rotating each branch.
-    Agrees with qfi_mixed to O(delta^2) relative; used as a validation
-    cross-check, not for production evaluation.
-    """
-    gen = _resolve_generator(generator, rho.cutoff)
-    delta = 1e-3
-    w, v = np.linalg.eigh(gen)
-    u = (v * np.exp(-1j * delta * w)) @ v.conj().T
-    shifted = DensityMatrix(rho.branches @ u.T, rho.cutoff, rho.tail_mass,
-                            rho.pruned_mass)
-    fid = uhlmann_fidelity(rho, shifted)
-    return 8.0 * (1.0 - math.sqrt(fid)) / (delta * delta)

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import analytic, channels, experiments, fock, qfi, simulate
+from . import analytic, experiments, fock, oracle, qfi, simulate
 from .errors import DomainError
 
 _OMEGA_67 = 6.0 * math.pi / 7.0
@@ -91,9 +91,8 @@ def _schwinger_commutators() -> float:
     """Entrywise defect of [J_i, J_j] = i J_k (cyclic) at n_max 7 and 8."""
     worst = 0.0
     for n_max in (7, 8):
-        ops = fock.schwinger_ops(fock.FockCutoff(n_max))
-        for a, b, c in ((ops.jx, ops.jy, ops.jz), (ops.jy, ops.jz, ops.jx),
-                        (ops.jz, ops.jx, ops.jy)):
+        jx, jy, jz = oracle.schwinger_matrices(fock.FockCutoff(n_max))
+        for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy)):
             worst = max(worst, _max_abs(a @ b - b @ a, 1j * c))
     return worst
 
@@ -102,8 +101,8 @@ def _splitter_unitarity() -> float:
     """Entrywise defect of U^dag U = 1 for two splitters."""
     worst = 0.0
     for T, n_max in ((0.37, 9), (0.7, 14)):
-        U = channels.beam_splitter_unitary(channels.BeamSplitterSpec(T),
-                                           fock.FockCutoff(n_max))
+        U = oracle.beam_splitter_unitary(oracle.BeamSplitterSpec(T),
+                                         fock.FockCutoff(n_max))
         worst = max(worst, _max_abs(U.conj().T @ U, np.eye(len(U))))
     return worst
 
@@ -116,7 +115,7 @@ def _splitter_coherent_map() -> float:
     worst = 0.0
     for a, b, T, n_max in cases:
         cutoff = fock.FockCutoff(n_max)
-        U = channels.beam_splitter_unitary(channels.BeamSplitterSpec(T), cutoff)
+        U = oracle.beam_splitter_unitary(oracle.BeamSplitterSpec(T), cutoff)
         rt, rr = math.sqrt(T), math.sqrt(1.0 - T)
         ref = _coherent_product(a * rt + 1j * b * rr, b * rt + 1j * a * rr, cutoff)
         out = U @ _coherent_product(a, b, cutoff)
@@ -129,10 +128,10 @@ def _mz_composite_identity() -> float:
     worst = 0.0
     for theta, n_max in ((0.7, 10), (1.17, 8)):
         cutoff = fock.FockCutoff(n_max)
-        bx = channels.number_conserving_expm(fock.two_mode_basis(cutoff),
-                                             fock.schwinger_ops(cutoff).jx, -math.pi / 2.0)
-        composite = bx @ channels.phase_shift_unitary(theta, cutoff) @ bx.conj().T
-        worst = max(worst, _max_abs(composite, channels.mz_unitary(theta, cutoff)))
+        jx = oracle.schwinger_matrices(cutoff).jx
+        bx = oracle.number_conserving_expm(fock.two_mode_basis(cutoff), jx, -math.pi / 2.0)
+        composite = bx @ oracle.phase_shift_unitary(theta, cutoff) @ bx.conj().T
+        worst = max(worst, _max_abs(composite, oracle.mz_unitary(theta, cutoff)))
     return worst
 
 
@@ -141,7 +140,7 @@ def _kraus_completeness() -> float:
     worst = 0.0
     for mode, T, n_max in ((0, 0.35, 8), (1, 0.0, 7), (1, 0.35, 7), (1, 1.0, 7)):
         basis = fock.fock_basis(2, n_max)
-        ks = channels.loss_kraus_operators(basis, mode, channels.LossSpec(T))
+        ks = oracle.loss_kraus_operators(basis, mode, T)
         worst = max(worst, _max_abs(sum(K.conj().T @ K for K in ks), np.eye(basis.dim)))
     return worst
 
@@ -151,9 +150,8 @@ def _loss_semigroup() -> float:
     worst = 0.0
     for seed, t1, t2 in ((7, 0.8, 0.7), (5, 0.9, 0.6)):
         dm = fock.pure_density(_random_state(fock.FockCutoff(6), np.random.default_rng(seed)))
-        twice = channels.loss_channel(channels.loss_channel(dm, channels.LossSpec(t1)),
-                                      channels.LossSpec(t2))
-        once = channels.loss_channel(dm, channels.LossSpec(t1 * t2))
+        twice = oracle.loss_channel(oracle.loss_channel(dm, t1), t2)
+        once = oracle.loss_channel(dm, t1 * t2)
         worst = max(worst, _max_abs(twice.matrix, once.matrix))
     return worst
 
@@ -173,10 +171,8 @@ def _kraus_ancilla_gap(cases) -> float:
     """Entrywise gap between the Kraus channel and the vacuum-ancilla realization."""
     worst = 0.0
     for state, T in cases:
-        spec = channels.LossSpec(T)
-        kraus = channels.loss_channel(fock.pure_density(state), spec)
-        worst = max(worst, _max_abs(kraus.matrix,
-                                    channels.loss_channel_ancilla(state, spec).matrix))
+        kraus = oracle.loss_channel(fock.pure_density(state), T).matrix
+        worst = max(worst, _max_abs(kraus, oracle.loss_channel_ancilla(state, T).matrix))
     return worst
 
 
@@ -199,7 +195,7 @@ def _coherent_attenuation() -> float:
     for gamma, T in ((0.3, 0.83), (0.5, 0.7)):
         psi = _coherent_product(gamma, 0.0, cutoff)
         dm = fock.pure_density(fock.TwoModeState(psi, cutoff))
-        out = channels.loss_channel(dm, channels.LossSpec(T))
+        out = oracle.loss_channel(dm, T)
         ref = _coherent_product(gamma * math.sqrt(T), 0.0, cutoff)
         worst = max(worst, abs(1.0 - np.vdot(ref, out.matrix @ ref).real))
     return worst
@@ -297,7 +293,7 @@ def _branch_moments() -> float:
         branch_a, branch_b = analytic.branch_amplitudes(alpha, phi, T)
         vec_a = _coherent_product(*branch_a, cutoff)
         vec_b = _coherent_product(*branch_b, cutoff)
-        jz = fock.schwinger_ops(cutoff).jz
+        jz = oracle.schwinger_matrices(cutoff).jz
         jz_a, jz_b = jz @ vec_a, jz @ vec_b
         mom = analytic.branch_jz_moments(alpha, phi, T)
         worst = max(worst,
@@ -335,7 +331,7 @@ def _reduced_density_purity() -> float:
 def _mixed_pure_limit() -> float:
     """|dense spectral QFI of a projector - pure-state variance QFI|."""
     state = simulate.probe_state(0.3, 0.2, 1.0)
-    jy = fock.schwinger_ops(state.cutoff).jy
+    jy = oracle.schwinger_matrices(state.cutoff).jy
     return abs(qfi.qfi_mixed(fock.pure_density(state).matrix, jy).value
                - qfi.qfi_pure(state, qfi.GeneratorChoice("jy")).value)
 
@@ -343,25 +339,32 @@ def _mixed_pure_limit() -> float:
 def _generator_sign_invariance() -> float:
     """|F(G) - F(-G)|, exactly zero."""
     rho = simulate.lossy_probe_density(0.3, 0.1, 1.0, 0.7)
-    jy = fock.schwinger_ops(rho.cutoff).jy
+    jy = oracle.schwinger_matrices(rho.cutoff).jy
     return abs(qfi.qfi_mixed(rho, jy).value - qfi.qfi_mixed(rho, -jy).value)
 
 
 def _unitary_invariance() -> float:
-    """Largest QFI shift under rho -> U rho U^dag, G -> U G U^dag."""
+    """Largest dense QFI shift under rho -> U rho U^dag, G -> U G U^dag for
+    theta-independent U.
+
+    Zero up to roundoff; this is why a fixed second beam splitter can be
+    dropped from the lossy pipeline.
+    """
     rho = simulate.lossy_probe_density(0.3, 0.3, 2.0, 0.83)
-    cutoff = rho.cutoff
-    jy = fock.schwinger_ops(cutoff).jy
-    unitaries = [channels.beam_splitter_unitary(channels.BeamSplitterSpec(T), cutoff)
+    cutoff, mat = rho.cutoff, rho.matrix
+    jy = oracle.schwinger_matrices(cutoff).jy
+    base = qfi.qfi_mixed(mat, jy).value
+    unitaries = [oracle.beam_splitter_unitary(oracle.BeamSplitterSpec(T), cutoff)
                  for T in (0.5, 0.3)]
-    unitaries.append(channels.phase_shift_unitary(1.1, cutoff))
-    return max(qfi.qfi_unitary_invariance_check(rho, jy, U) for U in unitaries)
+    unitaries.append(oracle.phase_shift_unitary(1.1, cutoff))
+    return max(abs(qfi.qfi_mixed(U @ mat @ U.conj().T, U @ jy @ U.conj().T).value - base)
+               for U in unitaries)
 
 
 def _rank_cutoff_stability() -> float:
     """QFI shift between rank thresholds 1e-10 and 1e-11."""
     rho = simulate.lossy_probe_density(0.3, 0.1, _OMEGA_67, 0.83)
-    jy = fock.schwinger_ops(rho.cutoff).jy
+    jy = oracle.schwinger_matrices(rho.cutoff).jy
     return abs(qfi.qfi_mixed(rho, jy, eps_rank=1e-10).value
                - qfi.qfi_mixed(rho, jy, eps_rank=1e-11).value)
 
@@ -377,12 +380,12 @@ def _factored_vs_dense() -> float:
     worst = 0.0
     for alpha in (0.05, 0.8, 1.5):
         cutoff = fock.FockCutoff(min(simulate.probe_cutoff(alpha).n_max, 24))
-        jz = fock.schwinger_ops(cutoff).jz
-        split = channels.beam_splitter_unitary(channels.BeamSplitterSpec(0.5), cutoff)
+        jz = oracle.schwinger_matrices(cutoff).jz
+        split = oracle.beam_splitter_unitary(oracle.BeamSplitterSpec(0.5), cutoff)
         for omega, T in itertools.product((0.0, 1.0, math.pi), (0.0, 0.37, 0.83)):
             probe = simulate.probe_state(alpha, 0.3, omega, cutoff)
             pure = fock.pure_density(fock.TwoModeState(split @ probe.amplitudes, cutoff))
-            dense = channels.loss_channel(pure, channels.LossSpec(T)).matrix
+            dense = oracle.loss_channel(pure, T).matrix
             for eps in (qfi.EPS_RANK, 0.4):
                 got = simulate.qfi_numeric(alpha, 0.3, omega, T, cutoff, eps_rank=eps)
                 ref = qfi.qfi_mixed(dense, jz, eps_rank=eps)
@@ -398,9 +401,9 @@ def _fidelity_cross_check() -> float:
     worst = 0.0
     for T in (0.5, 0.83):
         rho = simulate.lossy_probe_density(0.3, 0.2, 1.0, T)
-        jy = fock.schwinger_ops(rho.cutoff).jy
+        jy = oracle.schwinger_matrices(rho.cutoff).jy
         spectral = qfi.qfi_mixed(rho, jy).value
-        fid = qfi.qfi_fidelity_estimate(rho, jy)
+        fid = oracle.qfi_fidelity_estimate(rho, jy)
         worst = max(worst, abs(spectral - fid) / abs(spectral))
     return worst
 

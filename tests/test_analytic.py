@@ -27,9 +27,9 @@ from mzqfi import (
     qfi_lossless,
     qfi_lossless_max_in_n,
     qfi_lossy,
-    schwinger_ops,
     total_photon_number,
 )
+from mzqfi.oracle import schwinger_matrices
 
 OMEGA_67 = 6.0 * math.pi / 7.0
 
@@ -49,7 +49,7 @@ def test_lossless_moments_match_fock_expectations():
     moments = lossless_moments(alpha, phi, omega)
     n_a = expectation(state, hop_operator(basis, 0, 0)).real
     n_b = expectation(state, hop_operator(basis, 1, 1)).real
-    jy = expectation(state, schwinger_ops(state.cutoff).jy).real
+    jy = expectation(state, schwinger_matrices(state.cutoff).jy).real
     a_sq = expectation(state, lowering_power(basis, 0, 2))
     b_sq = expectation(state, lowering_power(basis, 1, 2))
     assert n_a == pytest.approx(moments.n_a, abs=1e-10)

@@ -12,7 +12,6 @@ from mzqfi import (
     DensityMatrix,
     DomainError,
     FockCutoff,
-    LossSpec,
     TwoModeState,
     beam_splitter_unitary,
     fock_basis,
@@ -26,6 +25,7 @@ from mzqfi import (
     pure_density,
     two_mode_basis,
 )
+from mzqfi.oracle import loss_channel_ancilla
 
 
 def _random_state(cutoff, rng):
@@ -35,11 +35,13 @@ def _random_state(cutoff, rng):
 
 
 def test_transmission_domain_message():
-    for bad in (-0.1, 1.2):
-        with pytest.raises(DomainError, match=r"T must lie in \[0,1\]"):
-            BeamSplitterSpec(bad)
-        with pytest.raises(DomainError, match=r"T must lie in \[0,1\]"):
-            LossSpec(bad)
+    state = input_state(0.3, 0.0, CatParams(0.3, 0.0), FockCutoff(8))
+    for bad in (-0.1, 1.2, math.nan):
+        for build in (lambda: BeamSplitterSpec(bad),
+                      lambda: loss_channel(pure_density(state), bad),
+                      lambda: loss_channel_ancilla(state, bad)):
+            with pytest.raises(DomainError, match=r"T must lie in \[0,1\]"):
+                build()
 
 
 def test_balanced_splitter_angle():
@@ -63,7 +65,7 @@ def test_kraus_operators_match_ladder_form():
     for mode in (0, 1):
         n = basis.occupations[:, mode]
         for T in (0.0, 0.35, 1.0):
-            ks = loss_kraus_operators(basis, mode, LossSpec(T))
+            ks = loss_kraus_operators(basis, mode, T)
             for k, K in enumerate(ks):
                 ref = (math.sqrt((1.0 - T) ** k / math.factorial(k))
                        * np.diag(T ** (n / 2.0)) @ lowering_power(basis, mode, k))
@@ -80,9 +82,9 @@ def test_kraus_coefficients_binomial():
 def test_loss_identity_and_vacuum_limits():
     state = input_state(0.4, 0.2, CatParams(0.3, 1.0), FockCutoff(8))
     dm = pure_density(state)
-    same = loss_channel(dm, LossSpec(1.0))
+    same = loss_channel(dm, 1.0)
     np.testing.assert_allclose(same.matrix, dm.matrix, atol=1e-14)
-    dead = loss_channel(dm, LossSpec(0.0))
+    dead = loss_channel(dm, 0.0)
     assert dead.matrix[0, 0].real == pytest.approx(1.0)
     assert np.sum(np.abs(dead.matrix)) == pytest.approx(1.0, abs=1e-12)
 
@@ -94,13 +96,12 @@ def test_loss_channel_matches_the_dense_kraus_sum():
     rng = np.random.default_rng(6)
     for T in (0.0, 0.37, 0.83, 1.0):
         dm = pure_density(_random_state(cutoff, rng))
-        spec = LossSpec(T)
         ref = np.zeros((basis.dim, basis.dim), dtype=complex)
-        for ka in loss_kraus_operators(basis, 0, spec):
-            for kb in loss_kraus_operators(basis, 1, spec):
+        for ka in loss_kraus_operators(basis, 0, T):
+            for kb in loss_kraus_operators(basis, 1, T):
                 k = ka @ kb
                 ref += k @ dm.matrix @ k.conj().T
-        np.testing.assert_allclose(loss_channel(dm, spec).matrix, ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(loss_channel(dm, T).matrix, ref, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("T, rows", [(0.37, 325), (1.0, 1)])
@@ -111,13 +112,12 @@ def test_loss_channel_forms_only_nonzero_rows(T, rows):
     basis = two_mode_basis(cutoff)
     split = beam_splitter_unitary(BeamSplitterSpec(0.5), cutoff)
     psi = split @ probe_state(0.8, 0.3, 1.0, cutoff).amplitudes
-    spec = LossSpec(T)
-    out = loss_channel(pure_density(TwoModeState(psi, cutoff)), spec)
+    out = loss_channel(pure_density(TwoModeState(psi, cutoff)), T)
     assert out.branches.shape == (rows, basis.dim)
     assert out.branches.any(axis=1).all()
     unpruned = np.array([ka @ (kb @ psi)
-                         for ka in loss_kraus_operators(basis, 0, spec)
-                         for kb in loss_kraus_operators(basis, 1, spec)])
+                         for ka in loss_kraus_operators(basis, 0, T)
+                         for kb in loss_kraus_operators(basis, 1, T)])
     assert len(unpruned) == 625
     ref = DensityMatrix(unpruned, cutoff, 0.0, 0.0).matrix
     np.testing.assert_allclose(out.matrix, ref, rtol=0, atol=1e-15)
@@ -126,7 +126,7 @@ def test_loss_channel_forms_only_nonzero_rows(T, rows):
 def test_loss_preserves_state_properties():
     rng = np.random.default_rng(3)
     dm = pure_density(_random_state(FockCutoff(6), rng))
-    out = loss_channel(dm, LossSpec(0.61))
+    out = loss_channel(dm, 0.61)
     out.validate()
     assert out.trace().real == pytest.approx(1.0)
     assert out.purity() < 1.0

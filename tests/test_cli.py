@@ -68,6 +68,8 @@ def test_domain_error_exit_code_and_message():
     (("--alpha", "1e160", "--method", "numeric"), "no finite Fock cutoff"),
     (("--alpha", "0.3", "--T", "0.5", "--method", "numeric", "--tol-rank", "-1"),
      "eps_rank must be finite and non-negative"),
+    (("--alpha", "0.3", "--method", "numeric", "--tol-tail", "-1"),
+     "tol_tail must be finite and non-negative"),
 ])
 def test_eval_rejects_non_finite_values(args, message):
     proc = run_cli("eval", *args)
@@ -183,6 +185,11 @@ def test_eval_rejects_a_bad_n_max_whatever_the_method(capsys, method):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "n_max must be a non-negative integer" in captured.err
+
+
+def test_figure_rejects_a_bad_n_max_for_the_phase_scan_panel(capsys):
+    assert main(["figure", "fig1c", "--n-max", "-5"]) == 2
+    assert "n_max must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_scan_outputs_optimum(tmp_path):

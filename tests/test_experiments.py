@@ -271,6 +271,14 @@ def test_figure_dataset_rejects_unknown_id():
         figure_dataset("fig9z")
 
 
+@pytest.mark.parametrize("figure_id", experiments.FIGURE_IDS)
+def test_figure_dataset_rejects_a_bad_n_max(figure_id):
+    # checked before any work, for the analytic panels too
+    for bad in (-5, 2.5, True):
+        with pytest.raises(DomainError, match="n_max must be a non-negative integer"):
+            figure_dataset(figure_id, n_max=bad)
+
+
 def test_figure_dataset_analytic_panel():
     ds = figure_dataset("fig2b")
     assert ds.figure_id == "fig2b"
@@ -389,9 +397,12 @@ def test_read_records_rejects_foreign_header(tmp_path):
                                           "F_analytic": -math.inf}]}), ", record 1"),
     ("row.json", json.dumps({"records": [list(CSV_COLUMNS)]}), ", record 0"),
     ("number.json", json.dumps({"records": 5}), ": no records list"),
+    ("huge.json", json.dumps({"records": [{**dict.fromkeys(CSV_COLUMNS, 1),
+                                           "N": 10**400}]}), ", record 0"),
 ], ids=["short_row", "extra_cell", "bad_cell", "json_missing_column", "json_bad_cell",
         "json_no_records", "csv_nan_cell", "csv_inf_cell", "json_bool_cell",
-        "json_nan_cell", "json_inf_cell", "json_row_not_object", "json_records_not_list"])
+        "json_nan_cell", "json_inf_cell", "json_row_not_object", "json_records_not_list",
+        "json_huge_int_cell"])
 def test_read_records_rejects_malformed_rows(tmp_path, name, text, where):
     path = tmp_path / name
     path.write_text(text)

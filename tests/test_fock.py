@@ -28,9 +28,9 @@ from mzqfi import (
     probe_state,
     pure_density,
     qfi_numeric,
-    schwinger_ops,
     two_mode_basis,
 )
+from mzqfi.oracle import schwinger_matrices
 
 
 def test_basis_ordering_total_number_blocks():
@@ -72,18 +72,22 @@ def test_default_cutoff_formula():
 
 
 def test_jz_is_diagonal_in_smallest_basis():
-    ops = schwinger_ops(FockCutoff(1))
-    np.testing.assert_allclose(ops.jz, np.diag([0.0, 0.5, -0.5]))
+    jz = schwinger_matrices(FockCutoff(1)).jz
+    np.testing.assert_allclose(jz, np.diag([0.0, 0.5, -0.5]))
 
 
-def test_schwinger_ops_build_each_matrix_on_first_read():
+def test_schwinger_ops_hold_no_dense_matrix():
+    # the route reads J_z's diagonal and the a^dag b weights off the
+    # occupations; the dense matrices are the oracle's, cached and read-only
     ops = SchwingerOps(FockCutoff(6))
-    assert not {"jx", "jy", "jz"} & vars(ops).keys()
-    np.testing.assert_array_equal(ops.jz_diagonal, np.diagonal(ops.jz).real)
-    assert "jz" in vars(ops) and "jx" not in vars(ops)
+    assert not {"jx", "jy", "jz"} & set(dir(ops))
+    mats = schwinger_matrices(ops.cutoff)
+    assert schwinger_matrices(FockCutoff(6)) is mats
+    assert not any(mat.flags.writeable for mat in mats)
+    np.testing.assert_array_equal(ops.jz_diagonal, np.diagonal(mats.jz).real)
+    # a^dag b |j> = w[j] |j - 1>, and nothing else
     hop_ab = hop_operator(ops.basis, 0, 1)
-    np.testing.assert_array_equal(ops.jx, 0.5 * (hop_ab + hop_ab.conj().T))
-    np.testing.assert_array_equal(ops.jy, (hop_ab - hop_ab.conj().T) / 2j)
+    np.testing.assert_array_equal(hop_ab, np.diag(ops.hop_weights[1:], 1))
 
 
 def test_hop_operator_matrix_element():
@@ -145,6 +149,15 @@ def test_cat_parity():
 def test_non_finite_amplitudes_are_domain_errors(build):
     with pytest.raises(DomainError, match="amplitudes are not finite"):
         build()
+
+
+@pytest.mark.parametrize("tol_tail", [math.nan, -1.0, math.inf])
+def test_tail_tolerance_must_be_finite_and_non_negative(tol_tail):
+    # a NaN tolerance turned the tail check off: this n_max 4 probe loses 0.049
+    for build in (lambda: input_state(1.0, 0.3, CatParams(1.0, 1.0), FockCutoff(4), tol_tail),
+                  lambda: qfi_numeric(1.0, 0.3, 1.0, 0.7, FockCutoff(4), tol_tail=tol_tail)):
+        with pytest.raises(DomainError, match="tol_tail must be finite and non-negative"):
+            build()
 
 
 def test_cat_degenerate_guard():

@@ -26,11 +26,11 @@ from mzqfi import (
     qfi_mixed,
     qfi_numeric,
     qfi_pure,
-    schwinger_ops,
     spectral_decomposition,
     two_mode_basis,
     uhlmann_fidelity,
 )
+from mzqfi.oracle import schwinger_matrices
 from mzqfi.qfi import RITZ_TOL
 
 
@@ -72,7 +72,7 @@ def test_mixed_reduces_to_pure_on_projector():
 def test_maximally_mixed_has_zero_qfi():
     basis = fock_basis(2, 4)
     rho = np.eye(basis.dim) / basis.dim
-    jz = schwinger_ops(FockCutoff(4)).jz
+    jz = schwinger_matrices(FockCutoff(4)).jz
     assert qfi_mixed(rho, jz).value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -87,10 +87,9 @@ def test_generator_choice_applies_its_matrix():
     rng = np.random.default_rng(5)
     vecs = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
     for which in ("jy", "jz"):
-        gen = GeneratorChoice(which)
+        gen, dense = GeneratorChoice(which), getattr(schwinger_matrices(cutoff), which)
         for x in (vecs, vecs[:, 0]):
-            np.testing.assert_allclose(gen.apply(cutoff, x), gen.matrix(cutoff) @ x,
-                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(gen.apply(cutoff, x), dense @ x, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 20, 24, 41])
@@ -98,7 +97,7 @@ def test_jy_shift_matches_the_dense_jy(n_max):
     # a^dag b moves each state one index back inside its total-number block;
     # unit columns, as the Ritz vectors the route applies J_y to
     cutoff = FockCutoff(n_max)
-    jy = schwinger_ops(cutoff).jy
+    jy = schwinger_matrices(cutoff).jy
     rng = np.random.default_rng(n_max)
     vecs = rng.normal(size=(len(jy), 4)) + 1j * rng.normal(size=(len(jy), 4))
     vecs /= np.linalg.norm(vecs, axis=0)
@@ -127,7 +126,7 @@ def test_diagonal_fast_path_matches_dense_route():
     # conjugating J_y by a fixed splitter mixes it further; QFI is invariant
     rho = lossy_probe_density(0.3, 0.25, 2.0, 0.6)
     cutoff = rho.cutoff
-    jy = schwinger_ops(cutoff).jy
+    jy = schwinger_matrices(cutoff).jy
     u = beam_splitter_unitary(BeamSplitterSpec(0.5), cutoff)
     rotated_rho = u @ rho.matrix @ u.conj().T
     rotated_gen = u @ jy @ u.conj().T
@@ -179,7 +178,7 @@ def test_uhlmann_fidelity_matches_the_dense_square_root_form():
 def test_eps_rank_controls_retained_spectrum():
     # the lossy probe is a two-branch mixture, hence exactly rank 2
     rho = lossy_probe_density(0.3, 0.1, 1.0, 0.5)
-    jy = schwinger_ops(rho.cutoff).jy
+    jy = schwinger_matrices(rho.cutoff).jy
     full = qfi_mixed(rho, jy, eps_rank=1e-12)
     coarse = qfi_mixed(rho, jy, eps_rank=0.4)
     assert full.rank == 2
@@ -190,7 +189,7 @@ def test_eps_rank_controls_retained_spectrum():
 def test_eps_rank_must_be_finite_and_non_negative(eps_rank):
     # a negative threshold admits p_i + p_j = 0 pairs, which gave 0/0 = nan
     factored = lossy_probe_density(0.3, 0.1, 1.0, 0.5)
-    jy = schwinger_ops(factored.cutoff).jy
+    jy = schwinger_matrices(factored.cutoff).jy
     for rho in (factored, factored.matrix):
         with pytest.raises(DomainError, match="eps_rank must be finite and non-negative"):
             qfi_mixed(rho, jy, eps_rank=eps_rank)
@@ -212,7 +211,7 @@ def test_factored_route_widens_to_a_rank_12_stack():
     heaviest = branches[np.argsort(-np.linalg.norm(branches, axis=1))[:4]]
     q, _ = np.linalg.qr(heaviest.T)
     assert np.linalg.norm(branches - (branches @ q.conj()) @ q.T) ** 2 > 1e-3
-    ops = schwinger_ops(cutoff)
+    ops = schwinger_matrices(cutoff)
     for gen, dense_gen in ((GeneratorChoice("jz"), ops.jz), (GeneratorChoice("jy"), ops.jy),
                            (ops.jz, ops.jz)):
         for eps_rank in (EPS_RANK, 1e-3):
@@ -250,7 +249,7 @@ def test_prefix_form_matches_its_formed_stack(point, cutoff):
     plain = DensityMatrix(rho.branches, rho.cutoff, rho.tail_mass, rho.pruned_mass)
     jy = GeneratorChoice("jy")
     got, ref = qfi_mixed(rho, jy), qfi_mixed(plain, jy)
-    dense = qfi_mixed(rho.matrix, schwinger_ops(rho.cutoff).jy)
+    dense = qfi_mixed(rho.matrix, schwinger_matrices(rho.cutoff).jy)
     assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
     assert got.value == pytest.approx(dense.value, rel=1e-12, abs=0.0)
     assert got.rank == ref.rank == dense.rank

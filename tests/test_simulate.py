@@ -1,14 +1,16 @@
 """Unit tests for the truncated-Fock probe pipeline."""
 from __future__ import annotations
 
+import ast
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mzqfi.channels as channels
 import mzqfi.fock as fock
+import mzqfi.oracle as oracle
 import mzqfi.simulate as simulate
 from mzqfi import (
     PRUNE_MASS,
@@ -16,7 +18,6 @@ from mzqfi import (
     DomainError,
     FockCutoff,
     GeneratorChoice,
-    LossSpec,
     LossyRho2x2,
     TailTooLarge,
     TwoModeState,
@@ -34,10 +35,10 @@ from mzqfi import (
     qfi_mixed,
     qfi_numeric,
     qfi_pure,
-    schwinger_ops,
     two_mode_basis,
 )
 from mzqfi.fock import check_affordable
+from mzqfi.oracle import schwinger_matrices
 from mzqfi.qfi import RITZ_TOL
 
 OMEGA_67 = 6.0 * math.pi / 7.0
@@ -80,14 +81,14 @@ def test_full_transmission_pipeline_consistency():
     # at T = 1 the lossy route's density is the pure input, under J_y
     alpha, phi, omega = 0.3, 0.2, 2.0
     rho = lossy_probe_density(alpha, phi, omega, 1.0)
-    via_mixed = qfi_mixed(rho, schwinger_ops(rho.cutoff).jy).value
+    via_mixed = qfi_mixed(rho, schwinger_matrices(rho.cutoff).jy).value
     state = probe_state(alpha, phi, omega)
-    via_pure = qfi_pure(state, schwinger_ops(state.cutoff).jy).value
+    via_pure = qfi_pure(state, schwinger_matrices(state.cutoff).jy).value
     assert via_mixed == pytest.approx(via_pure, abs=1e-9)
 
 
 def _dense_splitter(cutoff: FockCutoff) -> np.ndarray:
-    return number_conserving_expm(two_mode_basis(cutoff), schwinger_ops(cutoff).jx,
+    return number_conserving_expm(two_mode_basis(cutoff), schwinger_matrices(cutoff).jx,
                                   math.pi / 2.0)
 
 
@@ -104,7 +105,7 @@ def test_kraus_fan_out_matches_density_loss_channel():
         u = _dense_splitter(rho.cutoff)
         pure = TwoModeState(u @ probe_state(alpha, phi, omega, rho.cutoff).amplitudes,
                             rho.cutoff)
-        ref = loss_channel(pure_density(pure), LossSpec(T))
+        ref = loss_channel(pure_density(pure), T)
         np.testing.assert_allclose(u @ rho.matrix @ u.conj().T, ref.matrix,
                                    rtol=0, atol=1e-13)
     # rows: one per group (s = k + l, l mod 2) of the branches K_k^A K_l^B psi,
@@ -113,11 +114,11 @@ def test_kraus_fan_out_matches_density_loss_channel():
     # are built
     for point in ((0.8, -1.1, math.pi, 0.37), bright):
         rho = lossy_probe_density(*point)
-        n_max, basis, spec = rho.cutoff.n_max, rho.basis, LossSpec(point[3])
+        n_max, basis, T = rho.cutoff.n_max, rho.basis, point[3]
         psi = probe_state(*point[:3], rho.cutoff).amplitudes
-        arm_b = [K @ psi for K in loss_kraus_operators(basis, 1, spec)]
+        arm_b = [K @ psi for K in loss_kraus_operators(basis, 1, T)]
         groups = {}
-        for k, K in enumerate(loss_kraus_operators(basis, 0, spec)):
+        for k, K in enumerate(loss_kraus_operators(basis, 0, T)):
             for l, v in enumerate(arm_b):
                 groups.setdefault((k + l, l % 2), []).append(K @ v)
         keys = sorted(groups)
@@ -147,21 +148,62 @@ def test_numeric_route_builds_no_dense_operator(monkeypatch):
 
     point, cutoff = (0.3, 0.4, 2.0), FockCutoff(18)
     with monkeypatch.context() as m:
-        m.setattr(fock, "hop_operator", refuse)
-        m.setattr(channels, "number_conserving_expm", refuse)
-        m.setattr(channels, "splitter_blocks", refuse)
+        for name in ("dense_operator", "hop_operator", "lowering_power",
+                     "schwinger_matrices", "hermitian_expm", "number_conserving_expm"):
+            m.setattr(oracle, name, refuse)
         m.setattr(fock.DensityMatrix, "matrix", property(refuse))
         m.setattr(fock.DensityMatrix, "branches", property(refuse))
-        fock._schwinger_cached.cache_clear()
         got = {T: qfi_numeric(*point, T, cutoff).value for T in (0.0, 0.37, 1.0)}
         rhos = {T: lossy_probe_density(*point, T, cutoff) for T in (0.0, 0.37)}
-        assert not {"jx", "jy", "jz"} & vars(schwinger_ops(cutoff)).keys()
-    ops = schwinger_ops(cutoff)
-    ref = {T: qfi_mixed(rho.matrix, ops.jy).value for T, rho in rhos.items()}
-    ref[1.0] = qfi_pure(probe_state(*point, cutoff).amplitudes, ops.jy).value
+        with pytest.raises(AssertionError, match="dense two-mode operator"):
+            oracle.mz_unitary(0.3, cutoff)
+    jy = schwinger_matrices(cutoff).jy
+    ref = {T: qfi_mixed(rho.matrix, jy).value for T, rho in rhos.items()}
+    ref[1.0] = qfi_pure(probe_state(*point, cutoff).amplitudes, jy).value
     assert ref[0.0] == 0.0
     for T, value in got.items():
         assert value == pytest.approx(ref[T], rel=1e-12, abs=0.0)
+
+
+_SRC = Path(simulate.__file__).parent
+_FOCK_ROUTE = ("fock", "channels", "qfi", "simulate", "analytic", "experiments")
+
+
+def _imported_modules(module: str, modules: set[str]) -> set[str]:
+    """The mzqfi modules `module` imports anywhere in its source, function
+    bodies included; a name taken from the package itself counts as an
+    import of `__init__`, which imports every public module."""
+    found = set()
+    for node in ast.walk(ast.parse((_SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("mzqfi" if node.level else "", node.module)))
+            paths = ([f"{base}.{alias.name}" for alias in node.names]
+                     if base == "mzqfi" else [base])
+        else:
+            continue
+        for parts in (path.split(".") for path in paths):
+            if parts[0] == "mzqfi":
+                found.add(parts[1] if len(parts) > 1 and parts[1] in modules else "__init__")
+    return found
+
+
+def test_fock_route_never_imports_the_oracle():
+    # the import graph of src/mzqfi, read from the sources: no module of the
+    # Fock or closed-form route reaches mzqfi.oracle, directly or not
+    modules = {path.stem for path in _SRC.glob("*.py")}
+    graph = {module: _imported_modules(module, modules) for module in modules}
+    assert "channels" in graph["simulate"] and "oracle" in graph["validation"]
+    assert "oracle" in graph["__init__"]
+    for start in _FOCK_ROUTE:
+        reached, todo = set(), [start]
+        while todo:
+            module = todo.pop()
+            if module not in reached:
+                reached.add(module)
+                todo.extend(graph[module])
+        assert "oracle" not in reached, f"mzqfi.{start} imports mzqfi.oracle"
 
 
 def test_tight_cutoff_keeps_a_small_stack():
@@ -172,8 +214,8 @@ def test_tight_cutoff_keeps_a_small_stack():
     result = qfi_numeric(*point, cutoff)
     u = _dense_splitter(cutoff)
     split = TwoModeState(u @ probe_state(*point[:3], cutoff).amplitudes, cutoff)
-    dense = loss_channel(pure_density(split), LossSpec(point[3])).matrix
-    oracle = qfi_mixed(dense, schwinger_ops(cutoff).jz).value
+    dense = loss_channel(pure_density(split), point[3]).matrix
+    oracle = qfi_mixed(dense, schwinger_matrices(cutoff).jz).value
     assert result.value == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert result.value == pytest.approx(qfi_lossy(*point), rel=0.0, abs=1e-8)
     assert lossy_probe_density(*point, cutoff).branches.shape[0] <= 42
