@@ -36,7 +36,7 @@ from .fock import (
     schwinger_ops,
     two_mode_basis,
 )
-from .channels import PRUNE_MASS, loss_kraus_coefficients
+from .channels import loss_kraus_coefficients
 from .qfi import (
     EPS_RANK,
     GeneratorChoice,

@@ -5,8 +5,8 @@ total-number-truncated basis; truncation error enters solely through the
 input state's tail mass.  `loss_fan_out` takes both arms' loss on the
 unsplit probe and returns the density as weighted block prefixes of two
 references, no row of it formed.  The dense Kraus matrices, the Kraus
-channel that prunes nothing and its vacuum-ancilla realization are
-oracles, in `mzqfi.oracle`.
+channel with one row per Kraus pair and its vacuum-ancilla realization
+are oracles, in `mzqfi.oracle`.
 """
 from __future__ import annotations
 
@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import DomainError
 from .fock import DensityMatrix, TwoModeState, lowering_map
-from .qfi import RITZ_TOL
-
-PRUNE_MASS = RITZ_TOL / 2   # summed squared norm of the lightest Kraus branches dropped
 
 
 def check_transmission(T: float) -> None:
@@ -77,9 +74,9 @@ def loss_fan_out(state: TwoModeState, T: float) -> DensityMatrix:
     v_1 = K_0^A K_1^B psi (docs/formulas.md, "Loss channel").  So a group
     is one row, the prefix of its reference up to block n_max - s, weighted
     to the group's summed squared norm.  Branch norms are read off |psi|^2
-    on the occupation grid before anything is formed.  The lightest groups,
-    as many as together weigh at most PRUNE_MASS, are dropped, (0, odd)
-    always; the rest come in (s, parity) order.
+    on the occupation grid before anything is formed.  Every group of
+    positive mass is kept, in (s, parity) order; the empty ones, (0, odd)
+    always, are dropped.
     """
     n = state.cutoff.n_max
     basis, psi = state.basis, state.amplitudes
@@ -90,10 +87,7 @@ def loss_fan_out(state: TwoModeState, T: float) -> DensityMatrix:
     sq = coef * coef
     norms = sq @ held @ sq.T   # norms[k, l]
     mass = np.append(norms, 0.0)[_kraus_groups(n)].sum(axis=1)
-    lightest = np.argsort(mass, kind="stable")
-    light_mass = np.cumsum(mass[lightest])
-    dropped = int(np.searchsorted(light_mass, PRUNE_MASS, side="right"))
-    kept = np.sort(lightest[dropped:])   # empty groups weigh 0: dropped
+    kept = np.flatnonzero(mass > 0.0)
     s, parity = np.divmod(kept, 2)
     refs = np.zeros((2, basis.dim), dtype=complex)
     refs[0] = psi * coef[0, n_a] * coef[0, n_b]
@@ -101,5 +95,5 @@ def loss_fan_out(state: TwoModeState, T: float) -> DensityMatrix:
     refs[1, tgt] = psi[src] * coef[1, n_b[src]] * coef[0, n_a[src]]
     block_sq = np.add.reduceat(refs.real**2 + refs.imag**2, basis.block_starts, axis=1)
     prefix_sq = np.cumsum(block_sq, axis=1)[parity, n - s]
-    return DensityMatrix(refs, state.cutoff, state.tail_mass, float(light_mass[dropped - 1]),
-                         (parity, n - s, mass[kept] / prefix_sq))
+    return DensityMatrix(refs, state.cutoff, state.tail_mass,
+                         rows=(parity, n - s, mass[kept] / prefix_sq))

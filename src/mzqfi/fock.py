@@ -319,20 +319,19 @@ class DensityMatrix:
     with `rows` = (i, N, w), one entry per row, and M_N the projector on
     the blocks of total photon number <= N, a prefix of the basis order.
     So rho is Hermitian and positive by construction.  Without `rows`,
-    `DensityMatrix(stack, cutoff, tail_mass, pruned_mass)` is a plain
-    stack: every row is its own reference, at N = n_max and weight 1.
+    `DensityMatrix(stack, cutoff, tail_mass)` is a plain stack: every row
+    is its own reference, at N = n_max and weight 1.
 
     `qfi_mixed` works on the references; the row stack `branches` and the
     dense `matrix` are formed on first read, for the oracles.  `tail_mass`
-    is the input's truncation tail and `pruned_mass` the trace of the rows
-    left out.
+    is the input's truncation tail.
     """
 
     refs: np.ndarray
     cutoff: FockCutoff
     tail_mass: float
-    pruned_mass: float
-    rows: tuple | None = None   # (reference index, last block, weight) arrays
+    # (reference index, last block, weight) arrays
+    rows: tuple | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         refs = np.ascontiguousarray(self.refs, dtype=complex)
@@ -396,7 +395,7 @@ class DensityMatrix:
 
 
 def pure_density(state: TwoModeState) -> DensityMatrix:
-    return DensityMatrix(state.amplitudes[None, :], state.cutoff, state.tail_mass, 0.0)
+    return DensityMatrix(state.amplitudes[None, :], state.cutoff, state.tail_mass)
 
 
 def check_phi(phi: float) -> None:

@@ -6,10 +6,11 @@ The Fock route (`fock` -> `channels` -> `qfi`, driven by `simulate` and
 that on the import graph, and checks by refusing these builders that a
 numeric point calls none of them.  Here are the dense Schwinger matrices,
 the ladder and Kraus matrices, the splitter, phase and Mach-Zehnder
-unitaries, the Kraus loss channel that prunes nothing, its vacuum-ancilla
-realization, the Uhlmann fidelity and the Bures finite-difference QFI.
-Each operator is exact on the total-number-truncated basis, because each
-either conserves or lowers total photon number.
+unitaries, the Kraus loss channel with one row per Kraus pair, its
+vacuum-ancilla realization, the Uhlmann fidelity and the Bures
+finite-difference QFI.  Each operator is exact on the
+total-number-truncated basis, because each either conserves or lowers
+total photon number.
 """
 from __future__ import annotations
 
@@ -183,8 +184,8 @@ def loss_kraus_operators(basis: FockBasis, mode: int, T: float) -> list[np.ndarr
 
 def loss_channel(dm: DensityMatrix, T: float) -> DensityMatrix:
     """Equal photon loss of transmission T on both arms, Kraus route: every
-    Kraus operator of arm A, then of arm B, applied to every branch, with
-    nothing pruned.
+    Kraus operator of arm A, then of arm B, applied to every branch, one
+    row per Kraus pair and nothing merged.
 
     Only the exactly-zero rows are dropped after each arm (K_k of a row
     with fewer than k photons, every K_k with k > 0 at T = 1); they add
@@ -199,7 +200,7 @@ def loss_channel(dm: DensityMatrix, T: float) -> DensityMatrix:
             fanned.append(branch)
         rows = np.concatenate(fanned)
         rows = rows[rows.any(axis=1)]
-    return DensityMatrix(rows, dm.cutoff, dm.tail_mass, dm.pruned_mass)
+    return DensityMatrix(rows, dm.cutoff, dm.tail_mass)
 
 
 def loss_channel_ancilla(state: TwoModeState, T: float) -> DensityMatrix:
@@ -224,7 +225,7 @@ def loss_channel_ancilla(state: TwoModeState, T: float) -> DensityMatrix:
     occ = big.occupations
     rows = np.zeros((two.dim, two.dim), dtype=complex)   # (ancilla state, arm state)
     rows[two.lookup(occ[:, 2:]), two.lookup(occ[:, :2])] = psi4
-    return DensityMatrix(rows, state.cutoff, state.tail_mass, 0.0)
+    return DensityMatrix(rows, state.cutoff, state.tail_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,6 @@ def qfi_fidelity_estimate(rho: DensityMatrix, generator: np.ndarray) -> float:
     """
     delta = 1e-3
     u = hermitian_expm(generator, -delta)
-    shifted = DensityMatrix(rho.branches @ u.T, rho.cutoff, rho.tail_mass,
-                            rho.pruned_mass)
+    shifted = DensityMatrix(rho.branches @ u.T, rho.cutoff, rho.tail_mass)
     fid = uhlmann_fidelity(rho, shifted)
     return 8.0 * (1.0 - math.sqrt(fid)) / (delta * delta)

@@ -120,7 +120,7 @@ class QfiResult:
     method: str            # "pure" or "spectral"
     tail_mass: float = 0.0
     rank: int | None = None
-    discarded_weight: float = 0.0   # Ritz residual + pruned mass: bounds the trace left out
+    discarded_weight: float = 0.0   # Ritz residual: bounds the trace left out
 
 
 def check_eps_rank(eps_rank: float) -> None:
@@ -170,11 +170,10 @@ def _ritz_pairs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, float]:
     """Rayleigh-Ritz pairs of rho on the span of its heaviest references,
     and a bound on the trace of rho outside that span.
 
-    Row r of rho is b_r = sqrt(w_r) M_{N_r} ref (see DensityMatrix), and
-    rows of total trace `rho.pruned_mass` were never formed.  The span
-    starts at the RITZ_START references whose rows carry the most trace
-    and doubles until the bound is at most RITZ_TOL.  With P the projector
-    on the span, ||(I - P) b_r|| <= sqrt(w_r) (||(I - P) ref|| +
+    Row r of rho is b_r = sqrt(w_r) M_{N_r} ref (see DensityMatrix).  The
+    span starts at the RITZ_START references whose rows carry the most
+    trace and doubles until the bound is at most RITZ_TOL.  With P the
+    projector on the span, ||(I - P) b_r|| <= sqrt(w_r) (||(I - P) ref|| +
     ||(I - M_N) ref||): the reference's residual outside the span and its
     tail past block N, both sums of squares, which do not cancel.  The
     coordinates Q^dag b_r are block-cumulative overlaps of each reference
@@ -197,8 +196,7 @@ def _ritz_pairs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, float]:
             whole = refs @ q.conj()   # Q^dag ref
             outside = refs - whole @ q.T
             gap = np.sqrt(np.einsum("ij,ij->i", outside.view(float), outside.view(float)))
-            discarded = (float(np.sum(row_weight * (gap[row_ref] + row_tail) ** 2))
-                         + rho.pruned_mass)
+            discarded = float(np.sum(row_weight * (gap[row_ref] + row_tail) ** 2))
             if discarded <= RITZ_TOL or k >= len(refs):
                 break
             k *= 2

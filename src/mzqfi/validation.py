@@ -372,10 +372,11 @@ def _rank_cutoff_stability() -> float:
 def _factored_vs_dense() -> float:
     """Largest |qfi_numeric - dense oracle| / |F| of the lossy probe, n_max <= 24.
 
-    The production route solves the pruned, merged input-frame stack on its
-    Ritz subspace under J_y; the oracle splits the probe with the dense
-    splitter unitary, applies the index-map Kraus channel, which prunes
-    nothing, and diagonalizes its dense matrix in full under J_z.  A rank mismatch counts as an infinite deviation.
+    The production route solves the merged input-frame stack on its Ritz
+    subspace under J_y; the oracle splits the probe with the dense splitter
+    unitary, applies the index-map Kraus channel, one row per Kraus pair,
+    and diagonalizes its dense matrix in full under J_z.  A rank mismatch
+    counts as an infinite deviation.
     """
     worst = 0.0
     for alpha in (0.05, 0.8, 1.5):

@@ -115,11 +115,11 @@ def test_loss_channel_forms_only_nonzero_rows(T, rows):
     out = loss_channel(pure_density(TwoModeState(psi, cutoff)), T)
     assert out.branches.shape == (rows, basis.dim)
     assert out.branches.any(axis=1).all()
-    unpruned = np.array([ka @ (kb @ psi)
-                         for ka in loss_kraus_operators(basis, 0, T)
-                         for kb in loss_kraus_operators(basis, 1, T)])
-    assert len(unpruned) == 625
-    ref = DensityMatrix(unpruned, cutoff, 0.0, 0.0).matrix
+    every_pair = np.array([ka @ (kb @ psi)
+                           for ka in loss_kraus_operators(basis, 0, T)
+                           for kb in loss_kraus_operators(basis, 1, T)])
+    assert len(every_pair) == 625
+    ref = DensityMatrix(every_pair, cutoff, 0.0).matrix
     np.testing.assert_allclose(out.matrix, ref, rtol=0, atol=1e-15)
 
 

@@ -229,5 +229,5 @@ def test_validate_raises_on_a_trace_defect():
     for scale in (1.0 + 1e-6, 0.5):
         rows = scale * state.amplitudes[None, :]
         with pytest.raises(NotDensityMatrix, match="trace"):
-            DensityMatrix(rows, state.cutoff, 0.0, 0.0).validate()
-    DensityMatrix(state.amplitudes[None, :], state.cutoff, 0.0, 0.0).validate()
+            DensityMatrix(rows, state.cutoff, 0.0).validate()
+    DensityMatrix(state.amplitudes[None, :], state.cutoff, 0.0).validate()

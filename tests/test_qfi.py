@@ -145,7 +145,7 @@ def test_uhlmann_fidelity_limits():
     b = np.zeros_like(a)
     a[0, basis.lookup((1, 0))] = 1.0
     b[0, basis.lookup((0, 1))] = 1.0
-    a, b = (DensityMatrix(x, cutoff, 0.0, 0.0) for x in (a, b))
+    a, b = (DensityMatrix(x, cutoff, 0.0) for x in (a, b))
     assert uhlmann_fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -165,7 +165,7 @@ def test_uhlmann_fidelity_matches_the_dense_square_root_form():
 
     def random_stack(rows):
         x = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
-        return DensityMatrix(x / np.linalg.norm(x), cutoff, 0.0, 0.0)
+        return DensityMatrix(x / np.linalg.norm(x), cutoff, 0.0)
 
     for rows_rho, rows_sigma in ((1, 1), (2, 3), (4, 7), (dim, 2 * dim)):
         rho, sigma = random_stack(rows_rho), random_stack(rows_sigma)
@@ -207,7 +207,7 @@ def test_factored_route_widens_to_a_rank_12_stack():
     directions = rng.normal(size=(12, dim)) + 1j * rng.normal(size=(12, dim))
     branches = (rng.normal(size=(30, 12)) * np.geomspace(1.0, 1e-3, 12)) @ directions
     branches /= np.linalg.norm(branches)
-    rho = DensityMatrix(branches, cutoff, 0.0, 0.0)
+    rho = DensityMatrix(branches, cutoff, 0.0)
     heaviest = branches[np.argsort(-np.linalg.norm(branches, axis=1))[:4]]
     q, _ = np.linalg.qr(heaviest.T)
     assert np.linalg.norm(branches - (branches @ q.conj()) @ q.T) ** 2 > 1e-3
@@ -237,16 +237,18 @@ def test_strong_loss_certifies_on_one_span(monkeypatch):
 
 PREFIX_POINTS = ([((0.8, 0.3, math.pi, T), None) for T in (0.0, 1e-13, 0.05, 0.37, 0.999999)]
                  + [((alpha, 0.3, 1.0, 0.5), None) for alpha in (0.0, 1e-7, 0.05)]
-                 + [((1.2, 0.3, 1.0, 0.7), FockCutoff(20))])
+                 + [((1.2, 0.3, 1.0, 0.7), FockCutoff(20)),
+                    ((1.5, 0.3, 1.0, 0.8), FockCutoff(31))])
 
 
 @pytest.mark.parametrize("point, cutoff", PREFIX_POINTS)
 def test_prefix_form_matches_its_formed_stack(point, cutoff):
     # the lossy density as prefixes of its two references, against the
-    # plain stack of its formed rows and the dense eigensolve; at n_max 20
-    # the alpha = 1.2 point certifies only on the formed rows
+    # plain stack of its formed rows and the dense eigensolve; the alpha =
+    # 1.2 point at n_max 20 and the alpha = 1.5 point at n_max 31 certify
+    # only on the formed rows
     rho = lossy_probe_density(*point, cutoff)
-    plain = DensityMatrix(rho.branches, rho.cutoff, rho.tail_mass, rho.pruned_mass)
+    plain = DensityMatrix(rho.branches, rho.cutoff, rho.tail_mass)
     jy = GeneratorChoice("jy")
     got, ref = qfi_mixed(rho, jy), qfi_mixed(plain, jy)
     dense = qfi_mixed(rho.matrix, schwinger_matrices(rho.cutoff).jy)
@@ -260,13 +262,13 @@ def test_prefix_form_matches_its_formed_stack(point, cutoff):
     outside = np.linalg.norm(rows - (rows @ span.conj()) @ span.T) ** 2
     rounding = (rho.basis.dim * np.finfo(float).eps) ** 2
     assert bound == got.discarded_weight <= RITZ_TOL
-    assert outside + rho.pruned_mass <= bound + rounding
+    assert outside <= bound + rounding
 
 
 def test_prefix_rows_are_weighted_block_prefixes():
     cutoff = FockCutoff(2)   # blocks [0], [1, 2], [3, 4, 5]
     refs = np.arange(12.0).reshape(2, 6) + 1j
-    rho = DensityMatrix(refs, cutoff, 0.0, 0.0, ([1, 0, 1], [0, 1, 2], [4.0, 1.0, 0.25]))
+    rho = DensityMatrix(refs, cutoff, 0.0, rows=([1, 0, 1], [0, 1, 2], [4.0, 1.0, 0.25]))
     expected = np.zeros((3, 6), dtype=complex)
     expected[0, :1] = 2.0 * refs[1, :1]
     expected[1, :3] = refs[0, :3]
@@ -274,20 +276,22 @@ def test_prefix_rows_are_weighted_block_prefixes():
     np.testing.assert_array_equal(rho.branches, expected)
     for rows in (([2], [0], [1.0]), ([0], [3], [1.0]), ([0, 1], [0], [1.0])):
         with pytest.raises(DimensionMismatch):
-            DensityMatrix(refs, cutoff, 0.0, 0.0, rows)
+            DensityMatrix(refs, cutoff, 0.0, rows=rows)
     for rows in (([], [], []), ([0], [1], [-1.0]), ([0], [1], [math.nan])):
         with pytest.raises(NotDensityMatrix):
-            DensityMatrix(refs, cutoff, 0.0, 0.0, rows)
+            DensityMatrix(refs, cutoff, 0.0, rows=rows)
+    with pytest.raises(TypeError):   # rows is keyword-only
+        DensityMatrix(refs, cutoff, 0.0, ([0], [1], [1.0]))
 
 
 def test_branch_backed_density_checks_its_stack():
     cutoff = FockCutoff(2)
     with pytest.raises(DimensionMismatch):
-        DensityMatrix(np.ones((3, 5)), cutoff, 0.0, 0.0)
+        DensityMatrix(np.ones((3, 5)), cutoff, 0.0)
     with pytest.raises(DimensionMismatch):
-        DensityMatrix(np.ones(6), cutoff, 0.0, 0.0)
+        DensityMatrix(np.ones(6), cutoff, 0.0)
     with pytest.raises(NotDensityMatrix):
-        DensityMatrix(np.zeros((0, 6)), cutoff, 0.0, 0.0)
+        DensityMatrix(np.zeros((0, 6)), cutoff, 0.0)
     stack = np.arange(12.0).reshape(2, 6) + 1j
-    rho = DensityMatrix(stack, cutoff, 0.0, 0.0)
+    rho = DensityMatrix(stack, cutoff, 0.0)
     np.testing.assert_array_equal(rho.matrix, stack.T @ stack.conj())
