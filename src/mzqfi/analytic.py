@@ -276,7 +276,7 @@ class LossyPhiCurve(NamedTuple):
              - k4 sin(2 phi) w_sin mu sin tau,
     with k4 = 4 T^2 a^4.  Calling the curve keeps the floating-point order
     of the full expression, so curve(phi) equals qfi_lossy bit for bit.
-    `dark` marks T = 0 or alpha = 0, where F = 0 at every phi.
+    At T = 0 or alpha = 0 every coefficient is zero and F = +0.0 at every phi.
     """
 
     base: float           # 2 T a^2 (X + 1) + 4 T^2 a^4 X
@@ -288,11 +288,8 @@ class LossyPhiCurve(NamedTuple):
     mu: float
     sin_tau: float
     n_total: float        # n_a + n_b, as total_photon_number
-    dark: bool = False
 
     def __call__(self, phi: float) -> float:
-        if self.dark:
-            return 0.0
         k4 = self.k4
         cos_phi = math.cos(phi)
         sin_phi = math.sin(phi)
@@ -310,7 +307,7 @@ def lossy_curve(alpha: float, omega: float, transmission: float) -> LossyPhiCurv
     check_transmission(transmission)
     n_total = _photon_number(alpha, params.n_alpha_sq)
     if transmission == 0.0 or alpha == 0.0:
-        return LossyPhiCurve(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, n_total, dark=True)
+        return LossyPhiCurve(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, n_total)
     rho2 = LossyRho2x2(alpha, omega, transmission, params)
     terms = lossy_qfi_terms(rho2)
     ta2 = transmission * alpha * alpha

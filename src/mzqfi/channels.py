@@ -51,19 +51,6 @@ def _binomials(n_max: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _kraus_groups(n_max: int) -> np.ndarray:
-    """Flat indices k (n_max+1) + l of the Kraus pairs in each group
-    (s = k + l <= n_max, l mod 2), l rising, padded with (n_max+1)^2; row
-    2 s + parity.  Row 1, (0, odd), is padding only."""
-    side = n_max + 1
-    s, parity = np.divmod(np.arange(2 * side), 2)
-    l = 2 * np.arange(n_max // 2 + 1) + parity[:, None]
-    members = np.where(l <= s[:, None], (s[:, None] - l) * side + l, side * side)
-    members.setflags(write=False)
-    return members
-
-
 def loss_fan_out(state: TwoModeState, T: float) -> DensityMatrix:
     """Loss of transmission T on both arms of the truncated probe `state`,
     a coherent times a cat amplitude sequence, as a density of block
@@ -74,8 +61,9 @@ def loss_fan_out(state: TwoModeState, T: float) -> DensityMatrix:
     v_1 = K_0^A K_1^B psi (docs/formulas.md, "Loss channel").  So a group
     is one row, the prefix of its reference up to block n_max - s, weighted
     to the group's summed squared norm.  Branch norms are read off |psi|^2
-    on the occupation grid before anything is formed.  Every group of
-    positive mass is kept, in (s, parity) order; the empty ones, (0, odd)
+    on the occupation grid before anything is formed, and the group masses
+    are one bincount of norms[k, l] keyed 2 (k + l) + l mod 2.  Every group
+    of positive mass is kept, in (s, parity) order; the empty ones, (0, odd)
     always, are dropped.
     """
     n = state.cutoff.n_max
@@ -86,7 +74,9 @@ def loss_fan_out(state: TwoModeState, T: float) -> DensityMatrix:
     coef = loss_kraus_coefficients(n, T)
     sq = coef * coef
     norms = sq @ held @ sq.T   # norms[k, l]
-    mass = np.append(norms, 0.0)[_kraus_groups(n)].sum(axis=1)
+    side = np.arange(n + 1)
+    group = 2 * np.add.outer(side, side) + side[:, None] % 2   # [l, k]: 2 (k + l) + l mod 2
+    mass = np.bincount(group.ravel(), norms.T.ravel())   # each group summed l rising
     kept = np.flatnonzero(mass > 0.0)
     s, parity = np.divmod(kept, 2)
     refs = np.zeros((2, basis.dim), dtype=complex)

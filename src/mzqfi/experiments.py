@@ -206,6 +206,7 @@ class _PointEvaluator:
         return records
 
     def __call__(self, phi: float) -> SweepRecord:
+        check_phi(phi)
         return self.column((phi,))[0]
 
 
@@ -217,7 +218,6 @@ def evaluate_point(
     method: str = "both",
     n_max: int | None = None,
 ) -> SweepRecord:
-    check_phi(phi)
     return _PointEvaluator(alpha, omega, T, method, n_max)(phi)
 
 

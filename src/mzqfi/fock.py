@@ -399,9 +399,11 @@ def pure_density(state: TwoModeState) -> DensityMatrix:
 
 
 def check_phi(phi: float) -> None:
-    """Raise DomainError unless the coherent-state phase phi is finite."""
-    if not math.isfinite(phi):
-        raise DomainError(f"amplitudes are not finite: phi must be finite, got {phi!r}")
+    """Raise DomainError unless the coherent-state phase phi, and so the
+    2 phi of the closed forms, is finite."""
+    if not math.isfinite(2.0 * phi):
+        raise DomainError(
+            f"amplitudes are not finite: phi must be finite, and so must 2 phi, got {phi!r}")
 
 
 def input_state(

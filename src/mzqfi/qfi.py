@@ -12,9 +12,10 @@ The pair form avoids differentiating eigenvectors; the rearrangement from
 the derivative form is recorded in docs/formulas.md.
 
 A `DensityMatrix`, rows that are weighted block prefixes of a few
-reference vectors, is solved on the small subspace its heaviest references
-span, with the pairs reaching outside that subspace summed in closed form;
-its rows are never formed.  A raw dense array is diagonalized in full, as
+reference vectors, is solved on the subspace its references span (one QR),
+with the pairs reaching outside that subspace summed in closed form; its
+rows are formed only if that subspace leaves weight out, for one more
+solve on their span.  A raw dense array is diagonalized in full, as
 the oracle of that route, and needs a dense generator; a `GeneratorChoice`
 is applied as an index map and has no matrix.  The Uhlmann fidelity and
 the Bures finite-difference cross-check are oracles, in `mzqfi.oracle`.
@@ -36,7 +37,6 @@ from .fock import (
 
 EPS_RANK = 1e-12     # pair weight below this is treated as rank deficient
 EIG_FLOOR = -1e-8    # density eigenvalues below this mean the matrix is not a state
-RITZ_START = 4       # heaviest references spanning the first Ritz subspace
 RITZ_TOL = 1e-20     # trace a certified Ritz subspace may leave out
 
 
@@ -156,54 +156,38 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _reference_forms(rho: DensityMatrix):
-    """(refs, rows) of rho, then, if a row is cut short of n_max, the
-    formed rows as their own references."""
-    yield rho.refs, rho.rows
-    n_max, last = rho.cutoff.n_max, rho.rows[1]
-    if np.any(last < n_max):
-        count = len(last)
-        yield rho.branches, (np.arange(count), np.full(count, n_max), np.ones(count))
-
-
 def _ritz_pairs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rayleigh-Ritz pairs of rho on the span of its heaviest references,
-    and a bound on the trace of rho outside that span.
+    """Rayleigh-Ritz pairs of rho on the span of its references, and a
+    bound on the trace of rho outside that span.
 
-    Row r of rho is b_r = sqrt(w_r) M_{N_r} ref (see DensityMatrix).  The
-    span starts at the RITZ_START references whose rows carry the most
-    trace and doubles until the bound is at most RITZ_TOL.  With P the
-    projector on the span, ||(I - P) b_r|| <= sqrt(w_r) (||(I - P) ref|| +
-    ||(I - M_N) ref||): the reference's residual outside the span and its
+    Row r of rho is b_r = sqrt(w_r) M_{N_r} ref (see DensityMatrix).  One QR
+    spans every reference, heaviest first (by the trace its rows carry),
+    since the order matters when references are nearly parallel.  With P
+    the projector on the span, ||(I - P) b_r|| <= sqrt(w_r) (||(I - P) ref||
+    + ||(I - M_N) ref||): the reference's residual outside the span and its
     tail past block N, both sums of squares, which do not cancel.  The
     coordinates Q^dag b_r are block-cumulative overlaps of each reference
-    with Q.  Once the span holds every reference, the loop goes on with
-    the formed rows as references; at the full row stack the span holds
-    the support of rho, so the Ritz pairs are its eigenpairs.
+    with Q.  If the bound exceeds RITZ_TOL and a row is cut short of n_max,
+    rho is solved once more as the plain stack of its formed rows, whose
+    span holds every row, so the Ritz pairs are its eigenpairs.
     """
+    refs, (row_ref, row_last, row_weight) = rho.refs, rho.rows
     starts = rho.basis.block_starts
-    for refs, (row_ref, row_last, row_weight) in _reference_forms(rho):
-        block_sq = np.add.reduceat(_abs2(refs), starts, axis=1)
-        tail_sq = np.zeros_like(block_sq)   # blocks after N, summed from the last
-        tail_sq[:, :-1] = np.cumsum(block_sq[:, :0:-1], axis=1)[:, ::-1]
-        row_tail = np.sqrt(tail_sq[row_ref, row_last])
-        row_sq = row_weight * np.cumsum(block_sq, axis=1)[row_ref, row_last]
-        carried = np.bincount(row_ref, row_sq, minlength=len(refs))
-        heaviest = np.argsort(-carried, kind="stable")
-        k = RITZ_START
-        while True:
-            q, _ = np.linalg.qr(refs[heaviest[:k]].T)
-            whole = refs @ q.conj()   # Q^dag ref
-            outside = refs - whole @ q.T
-            gap = np.sqrt(np.einsum("ij,ij->i", outside.view(float), outside.view(float)))
-            discarded = float(np.sum(row_weight * (gap[row_ref] + row_tail) ** 2))
-            if discarded <= RITZ_TOL or k >= len(refs):
-                break
-            k *= 2
-        if discarded <= RITZ_TOL:
-            break
-    c = whole[row_ref]   # Q^dag b_r / sqrt(w_r) of a full-length row
+    block_sq = np.add.reduceat(_abs2(refs), starts, axis=1)
+    tail_sq = np.zeros_like(block_sq)   # blocks after N, summed from the last
+    tail_sq[:, :-1] = np.cumsum(block_sq[:, :0:-1], axis=1)[:, ::-1]
+    row_tail = np.sqrt(tail_sq[row_ref, row_last])
+    row_sq = row_weight * np.cumsum(block_sq, axis=1)[row_ref, row_last]
+    carried = np.bincount(row_ref, row_sq, minlength=len(refs))
+    q, _ = np.linalg.qr(refs[np.argsort(-carried, kind="stable")].T)
+    whole = refs @ q.conj()   # Q^dag ref
+    outside = refs - whole @ q.T
+    gap = np.sqrt(np.einsum("ij,ij->i", outside.view(float), outside.view(float)))
+    discarded = float(np.sum(row_weight * (gap[row_ref] + row_tail) ** 2))
     cut = row_last < rho.cutoff.n_max
+    if discarded > RITZ_TOL and cut.any():
+        return _ritz_pairs(DensityMatrix(rho.branches, rho.cutoff, rho.tail_mass))
+    c = whole[row_ref]   # Q^dag b_r / sqrt(w_r) of a full-length row
     if cut.any():   # block sums only where a row is cut short
         per_block = np.add.reduceat(refs[:, None, :] * q.T.conj(), starts, axis=2)
         c[cut] = np.cumsum(per_block, axis=2)[row_ref[cut], :, row_last[cut]]

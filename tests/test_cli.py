@@ -70,6 +70,8 @@ def test_domain_error_exit_code_and_message():
      "eps_rank must be finite and non-negative"),
     (("--alpha", "0.3", "--method", "numeric", "--tol-tail", "-1"),
      "tol_tail must be finite and non-negative"),
+    (("--alpha", "0.3", "--phi", "1e308", "--T", "0.5"), "so must 2 phi"),
+    (("--alpha", "0.3", "--phi", "1e308", "--T", "1"), "so must 2 phi"),
 ])
 def test_eval_rejects_non_finite_values(args, message):
     proc = run_cli("eval", *args)

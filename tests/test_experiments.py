@@ -87,8 +87,9 @@ def test_sweep_grid_validation():
     SweepGrid(**{**ok, "n_max": 0})
 
 
-@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan, 1e308])
 def test_non_finite_phi_is_domain_error(phi):
+    # 2 phi overflows at 1e308, so the closed forms cannot evaluate sin 2 phi
     for call in (lambda: qfi_lossless(0.3, phi, 1.0),
                  lambda: qfi_lossy(0.3, phi, 1.0, 0.5),
                  lambda: qfi_lossy_parts(0.3, phi, 1.0, 0.5),

@@ -200,7 +200,7 @@ def test_eps_rank_must_be_finite_and_non_negative(eps_rank):
 
 def test_factored_route_widens_to_a_rank_12_stack():
     # 30 branches drawn from 12 directions: the 4 heaviest leave weight out,
-    # so the Ritz span doubles twice before its discarded weight certifies
+    # so only a span of every branch certifies its discarded weight
     rng = np.random.default_rng(12)
     cutoff = FockCutoff(6)
     dim = two_mode_basis(cutoff).dim
@@ -232,6 +232,19 @@ def test_strong_loss_certifies_on_one_span(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
     result = qfi_numeric(1.447, 1.31, 0.79, 0.05)
     assert len(calls) == 1
+    assert result.discarded_weight <= RITZ_TOL
+
+
+def test_a_point_that_falls_back_takes_two_qr_calls(monkeypatch):
+    # at n_max 20 the span of the two references leaves weight out and some
+    # rows are cut short: one QR of the references, then one of the 41
+    # formed rows, whose span holds every row
+    shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda a, *r, **k: shapes.append(a.shape) or qr(a, *r, **k))
+    result = qfi_numeric(1.2, 0.3, 1.0, 0.7, FockCutoff(20))
+    assert shapes == [(231, 2), (231, 41)]
     assert result.discarded_weight <= RITZ_TOL
 
 
