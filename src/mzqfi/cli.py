@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import NamedTuple
 
@@ -217,6 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes "-1e-3" standing alone for a flag: pass "--phi=-1e-3"
+    flags = {"--" + dest.replace("_", "-") for dest in _OPTIONS}
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in flags and re.fullmatch(r"-[\d.]+e[-+]?\d+", argv[i], re.I):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     try:
         return args.func(args, _merge(args))

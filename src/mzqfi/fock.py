@@ -96,6 +96,11 @@ class FockBasis:
         """First index of each total-number block, in increasing total."""
         return _read_only(np.array([blk.start for blk in self.block_slices]))
 
+    def block_norms(self, vecs: np.ndarray) -> np.ndarray:
+        """[i, N]: the squared norm of the complex row vecs[i] on block N."""
+        flat = vecs.view(float)   # real and imaginary parts side by side
+        return np.add.reduceat(flat * flat, 2 * self.block_starts, axis=1)
+
     @cached_property
     def _lookup_table(self) -> np.ndarray:
         table = np.full((self.n_max + 1,) * self.n_modes, -1, dtype=np.int64)
@@ -179,27 +184,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _schwinger_cached(n_max: int) -> SchwingerOps:
-    return SchwingerOps(FockCutoff(n_max))
-
-
 def schwinger_ops(cutoff: FockCutoff) -> SchwingerOps:
-    return _schwinger_cached(cutoff.n_max)
+    return SchwingerOps(cutoff)
 
 
 def coherent_sequence(gamma: complex, n_max: int) -> np.ndarray:
-    """Exact amplitudes c_n = exp(-|gamma|^2/2) gamma^n / sqrt(n!), n = 0..n_max.
-
-    Raises DomainError when |gamma|^2 is not finite.
-    """
+    """Exact amplitudes c_n = exp(-|gamma|^2/2) gamma^n / sqrt(n!), n = 0..n_max,
+    the running product of c_0 and the ratios gamma / sqrt(n).  Raises
+    DomainError when |gamma|^2 is not finite."""
     mod_sq = abs(gamma) * abs(gamma)
     if not math.isfinite(mod_sq):
         raise DomainError(f"amplitudes are not finite: |gamma|^2 = {mod_sq!r}")
-    c = np.empty(n_max + 1, dtype=complex)
-    c[0] = math.exp(-0.5 * mod_sq)
-    for n in range(1, n_max + 1):
-        c[n] = c[n - 1] * gamma / math.sqrt(n)
-    return c
+    steps = np.empty(n_max + 1, dtype=complex)
+    steps[0] = math.exp(-0.5 * mod_sq)
+    steps[1:] = gamma / np.sqrt(np.arange(1.0, n_max + 1))
+    return steps.cumprod()
 
 
 def two_mode_product(ca: np.ndarray, cb: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
@@ -272,12 +271,13 @@ class CatParams:
 
 
 def _cat_sequence(params: CatParams, n_max: int) -> np.ndarray:
-    """Exact amplitudes N_a (c(alpha) + e^{i omega} c(-alpha)), n = 0..n_max."""
+    """Exact amplitudes N_a (c(alpha) + e^{i omega} c(-alpha)), n = 0..n_max,
+    with c_n(-alpha) = (-1)^n c_n(alpha)."""
+    plus = coherent_sequence(params.alpha, n_max)
+    minus = plus.copy()
+    np.negative(plus[1::2], out=minus[1::2])
     phase = complex(math.cos(params.omega), math.sin(params.omega))
-    return math.sqrt(params.n_alpha_sq) * (
-        coherent_sequence(params.alpha, n_max)
-        + phase * coherent_sequence(-params.alpha, n_max)
-    )
+    return math.sqrt(params.n_alpha_sq) * (plus + phase * minus)
 
 
 def cat_state(params: CatParams, cutoff: FockCutoff) -> tuple[np.ndarray, float]:
@@ -322,9 +322,9 @@ class DensityMatrix:
     `DensityMatrix(stack, cutoff, tail_mass)` is a plain stack: every row
     is its own reference, at N = n_max and weight 1.
 
-    `qfi_mixed` works on the references; the row stack `branches` and the
-    dense `matrix` are formed on first read, for the oracles.  `tail_mass`
-    is the input's truncation tail.
+    `qfi_mixed` works on the references, their `block_sq` and `row_mass`;
+    the row stack `branches` and the dense `matrix` are formed on first
+    read, for the oracles.  `tail_mass` is the input's truncation tail.
     """
 
     refs: np.ndarray
@@ -335,32 +335,35 @@ class DensityMatrix:
 
     def __post_init__(self):
         refs = np.ascontiguousarray(self.refs, dtype=complex)
-        n_max = self.cutoff.n_max
-        dim = two_mode_basis(self.cutoff).dim
+        n_max, dim = self.cutoff.n_max, two_mode_basis(self.cutoff).dim
         if refs.ndim != 2 or refs.shape[1] != dim:
             raise DimensionMismatch(
-                f"reference stack shape {refs.shape} does not fit basis dim {dim}"
-            )
-        if self.rows is None:
-            count = len(refs)
-            ref, last, weight = np.arange(count), np.full(count, n_max), np.ones(count)
-        else:
-            ref, last, weight = self.rows
-            ref, last = np.asarray(ref, dtype=np.int64), np.asarray(last, dtype=np.int64)
-            weight = np.asarray(weight, dtype=float)
-            count = len(ref)
-            if not (ref.shape == last.shape == weight.shape == (count,)
-                    and np.all((0 <= ref) & (ref < len(refs)))
-                    and np.all((0 <= last) & (last <= n_max))):
-                raise DimensionMismatch(
-                    f"rows do not fit {len(refs)} references at n_max={n_max}"
-                )
-            if not np.all(weight >= 0.0):
-                raise NotDensityMatrix("row weights must be non-negative")
+                f"reference stack shape {refs.shape} does not fit basis dim {dim}")
+        count = len(refs)
+        ref, last, weight = ((np.arange(count), np.full(count, n_max), np.ones(count))
+                             if self.rows is None else self.rows)
+        ref, last = np.asarray(ref, dtype=np.int64), np.asarray(last, dtype=np.int64)
+        weight, count = np.asarray(weight, dtype=float), len(ref)
+        if not (ref.shape == last.shape == weight.shape == (count,)
+                and (count == 0 or (0 <= ref.min() and ref.max() < len(refs)
+                                    and 0 <= last.min() and last.max() <= n_max))):
+            raise DimensionMismatch(f"rows do not fit {len(refs)} references at n_max={n_max}")
         if count == 0:
             raise NotDensityMatrix("the density has no rows: it would be 0")
+        if not weight.min() >= 0.0:   # NaN fails too
+            raise NotDensityMatrix("row weights must be non-negative")
         object.__setattr__(self, "refs", _read_only(refs))
-        object.__setattr__(self, "rows", tuple(_read_only(x) for x in (ref, last, weight)))
+        object.__setattr__(self, "rows", tuple(map(_read_only, (ref, last, weight))))
+
+    @cached_property
+    def block_sq(self) -> np.ndarray:
+        return self.basis.block_norms(self.refs)
+
+    @cached_property
+    def row_mass(self) -> np.ndarray:
+        """Trace of each row, w_r ||M_{N_r} refs[i_r]||^2."""
+        ref, last, weight = self.rows
+        return weight * self.block_sq.cumsum(axis=1)[ref, last]
 
     @cached_property
     def branches(self) -> np.ndarray:

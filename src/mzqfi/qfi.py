@@ -12,13 +12,12 @@ The pair form avoids differentiating eigenvectors; the rearrangement from
 the derivative form is recorded in docs/formulas.md.
 
 A `DensityMatrix`, rows that are weighted block prefixes of a few
-reference vectors, is solved on the subspace its references span (one QR),
-with the pairs reaching outside that subspace summed in closed form; its
-rows are formed only if that subspace leaves weight out, for one more
-solve on their span.  A raw dense array is diagonalized in full, as
-the oracle of that route, and needs a dense generator; a `GeneratorChoice`
-is applied as an index map and has no matrix.  The Uhlmann fidelity and
-the Bures finite-difference cross-check are oracles, in `mzqfi.oracle`.
+reference vectors, is solved on the span of its references (one QR), the
+pairs reaching outside it summed in closed form; its rows are formed only
+if that span leaves weight out.  A raw dense array, the oracle of that
+route, is diagonalized in full under a dense generator; a
+`GeneratorChoice` is an index map.  The fidelity cross-checks are oracles,
+in `mzqfi.oracle`.
 """
 from __future__ import annotations
 
@@ -51,17 +50,22 @@ class GeneratorChoice:
             raise DomainError(f"generator must be 'jy' or 'jz', got {self.which!r}")
 
     def apply(self, cutoff: FockCutoff, vecs: np.ndarray) -> np.ndarray:
-        """G @ vecs without a dense G: J_z as the occupation diagonal, J_y
-        as a one-index shift (a^dag b |j> = w[j] |j - 1>)."""
+        """G @ vecs without a dense G."""
+        out, _ = self.unscaled_apply(cutoff, vecs)
+        return out if self.which == "jz" else out / 2j
+
+    def unscaled_apply(self, cutoff: FockCutoff, vecs: np.ndarray) -> tuple[np.ndarray, float]:
+        """(H @ vecs, |c|^2) with G = c H: J_z is its occupation diagonal, c = 1;
+        J_y is c = 1/(2i) times a^dag b - b^dag a, a^dag b |j> = w[j] |j - 1>."""
         ops = schwinger_ops(cutoff)
         column = (-1,) + (1,) * (vecs.ndim - 1)
         if self.which == "jz":
-            return ops.jz_diagonal.reshape(column) * vecs
+            return ops.jz_diagonal.reshape(column) * vecs, 1.0
         w = ops.hop_weights[1:].reshape(column)
         out = np.zeros(vecs.shape, dtype=complex)
         out[:-1] = w * vecs[1:]        # a^dag b
         out[1:] -= w * vecs[:-1]       # b^dag a = (a^dag b)^dag
-        return out / 2j
+        return out, 0.25
 
 
 def _generator_matrix(gen) -> np.ndarray:
@@ -146,10 +150,9 @@ def qfi_pure(state, generator) -> QfiResult:
 
 def _pair_sum(p: np.ndarray, g_abs2: np.ndarray, eps_rank: float) -> float:
     """2 sum (p_i - p_j)^2 / (p_i + p_j) |G_ij|^2 over pairs with p_i + p_j > eps_rank."""
-    s = p[:, None] + p[None, :]
-    d = p[:, None] - p[None, :]
-    coef = np.divide(d * d, s, out=np.zeros_like(s), where=s > eps_rank)
-    return 2.0 * float(np.sum(coef * g_abs2))
+    s = p[:, None] + p
+    d = p[:, None] - p
+    return 2.0 * float((d * d / np.where(s > eps_rank, s, np.inf) * g_abs2).sum())
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -161,40 +164,33 @@ def _ritz_pairs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, float]:
     bound on the trace of rho outside that span.
 
     Row r of rho is b_r = sqrt(w_r) M_{N_r} ref (see DensityMatrix).  One QR
-    spans every reference, heaviest first (by the trace its rows carry),
-    since the order matters when references are nearly parallel.  With P
-    the projector on the span, ||(I - P) b_r|| <= sqrt(w_r) (||(I - P) ref||
-    + ||(I - M_N) ref||): the reference's residual outside the span and its
-    tail past block N, both sums of squares, which do not cancel.  The
-    coordinates Q^dag b_r are block-cumulative overlaps of each reference
-    with Q.  If the bound exceeds RITZ_TOL and a row is cut short of n_max,
-    rho is solved once more as the plain stack of its formed rows, whose
-    span holds every row, so the Ritz pairs are its eigenpairs.
+    spans every reference, heaviest first by the trace its rows carry, since
+    the order matters when references are nearly parallel.  With P the
+    projector on the span, ||(I - P) b_r|| <= sqrt(w_r) (||(I - P) ref|| +
+    ||(I - M_N) ref||): the residual outside the span plus the tail past
+    block N, a sum of block norms from the last one down, which does not
+    cancel.  The coordinates Q^dag b_r are block-cumulative overlaps of each
+    reference with Q.  If the bound exceeds RITZ_TOL and a row is cut short
+    of n_max, rho is solved once more as the plain stack of its formed rows,
+    whose span holds every row.
     """
     refs, (row_ref, row_last, row_weight) = rho.refs, rho.rows
-    starts = rho.basis.block_starts
-    block_sq = np.add.reduceat(_abs2(refs), starts, axis=1)
-    tail_sq = np.zeros_like(block_sq)   # blocks after N, summed from the last
-    tail_sq[:, :-1] = np.cumsum(block_sq[:, :0:-1], axis=1)[:, ::-1]
-    row_tail = np.sqrt(tail_sq[row_ref, row_last])
-    row_sq = row_weight * np.cumsum(block_sq, axis=1)[row_ref, row_last]
-    carried = np.bincount(row_ref, row_sq, minlength=len(refs))
+    tail_sq = np.zeros_like(rho.block_sq)   # blocks after N, summed from the last
+    tail_sq[:, :-1] = rho.block_sq[:, :0:-1].cumsum(axis=1)[:, ::-1]
+    carried = np.bincount(row_ref, rho.row_mass, minlength=len(refs))
     q, _ = np.linalg.qr(refs[np.argsort(-carried, kind="stable")].T)
     whole = refs @ q.conj()   # Q^dag ref
-    outside = refs - whole @ q.T
-    gap = np.sqrt(np.einsum("ij,ij->i", outside.view(float), outside.view(float)))
-    discarded = float(np.sum(row_weight * (gap[row_ref] + row_tail) ** 2))
-    cut = row_last < rho.cutoff.n_max
-    if discarded > RITZ_TOL and cut.any():
+    outside = (refs - whole @ q.T).view(float)
+    gap = np.sqrt(np.einsum("ij,ij->i", outside, outside))
+    discarded = float(row_weight @ (gap[row_ref] + np.sqrt(tail_sq[row_ref, row_last])) ** 2)
+    cut = row_last.min() < rho.cutoff.n_max
+    if discarded > RITZ_TOL and cut:
         return _ritz_pairs(DensityMatrix(rho.branches, rho.cutoff, rho.tail_mass))
-    c = whole[row_ref]   # Q^dag b_r / sqrt(w_r) of a full-length row
-    if cut.any():   # block sums only where a row is cut short
-        per_block = np.add.reduceat(refs[:, None, :] * q.T.conj(), starts, axis=2)
-        c[cut] = np.cumsum(per_block, axis=2)[row_ref[cut], :, row_last[cut]]
-    c *= np.sqrt(row_weight)[:, None]
-    p, u = np.linalg.eigh(c.T @ c.conj())
-    p = np.clip(p[::-1], 0.0, None)
-    return p, q @ u[:, ::-1], discarded
+    # Q^dag b_r / sqrt(w_r): the overlaps summed by block, up to each row's last
+    c = (np.add.reduceat(refs[:, :, None] * q.conj(), rho.basis.block_starts, axis=1)
+         .cumsum(axis=1)[row_ref, row_last] if cut else whole[row_ref])
+    p, u = np.linalg.eigh((c.T * row_weight) @ c.conj())
+    return np.maximum(p[::-1], 0.0), q @ u[:, ::-1], discarded
 
 
 def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
@@ -222,12 +218,13 @@ def qfi_mixed(rho, generator, eps_rank: float = EPS_RANK) -> QfiResult:
 
 
 def _qfi_factored(rho: DensityMatrix, generator, eps_rank: float) -> QfiResult:
+    """The sums run on H = G / c and take |c|^2 once, at the end."""
     p, w, discarded = _ritz_pairs(rho)
-    gw = _apply_generator(generator, rho.cutoff, w)
-    g_abs2 = _abs2(w.conj().T @ gw)
-    complement = _abs2(gw).sum(axis=0) - g_abs2.sum(axis=1)
+    hw, scale = (generator.unscaled_apply(rho.cutoff, w) if isinstance(generator, GeneratorChoice)
+                 else (_apply_generator(generator, rho.cutoff, w), 1.0))
+    h_abs2 = _abs2(w.conj().T @ hw)
+    complement = np.einsum("ij,ij->j", hw.conj(), hw).real - h_abs2.sum(axis=1)
     kept = p > eps_rank
-    value = (_pair_sum(p, g_abs2, eps_rank)
-             + 4.0 * float(np.sum(p[kept] * complement[kept])))
+    value = scale * (_pair_sum(p, h_abs2, eps_rank) + 4.0 * float(p[kept] @ complement[kept]))
     return QfiResult(value, "spectral", tail_mass=rho.tail_mass,
                      rank=int(np.count_nonzero(kept)), discarded_weight=discarded)

@@ -225,3 +225,22 @@ def test_validate_fast_exits_clean():
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
     assert "FAIL" not in proc.stdout
+
+
+def test_negative_exponent_value_after_a_space():
+    spaced = run_cli("eval", "--alpha", "0.3", "--phi", "-1e-3", "--T", "0.5")
+    joined = run_cli("eval", "--alpha", "0.3", "--phi=-1e-3", "--T", "0.5")
+    assert spaced.returncode == joined.returncode == 0
+    assert spaced.stdout == joined.stdout
+    assert "phi=-0.001" in spaced.stdout
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--omega", "-1e-3"), "omega must lie in [0, pi]"),
+    (("--phi", "-1e308"), "so must 2 phi"),
+])
+def test_negative_exponent_value_reaches_the_domain_check(capsys, args, message):
+    assert main(["eval", "--alpha", "0.3", "--T", "0.5", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -1,7 +1,9 @@
 """Unit tests for sweeps, scans, figure datasets and serialization."""
 from __future__ import annotations
 
+import csv
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -409,3 +411,33 @@ def test_read_records_rejects_malformed_rows(tmp_path, name, text, where):
     path.write_text(text)
     with pytest.raises(DomainError, match=re.escape(f"{path}{where}")):
         read_records(str(path))
+
+
+# sha256 of each panel's closed-form columns as the CSV writer formats them:
+# the cells of CLOSED_FORM_COLUMNS, "," within a record, "\n" between records.
+CLOSED_FORM_COLUMNS = ("alpha", "phi", "omega", "T", "F_analytic", "N", "N_sq")
+CLOSED_FORM_SHA256 = {
+    "fig1a": "714cbc3cb06f796b4d9540bba0a906d28924cc8c2289cfade30f800f2c4ea4a0",
+    "fig1b": "7a1e6d54589b33ebab3ba7af141622c46687d76a2209970599a3c4fbed363123",
+    "fig1c": "3a08a287881476300a30aad1865b4fed2acd57feaed41bf0bb75243884ce2271",
+    "fig2a": "ec1a52c129ca17fa5717e91626b15506a47e0c4a4494244cca269ec484f258ee",
+    "fig2b": "5de2f4a635cf0b2a420669b04979339185a33f3525702063a2f4e39147591f76",
+    "fig2c": "6325260aa2508da49ae11ccfc4f149b7cec2002f1c74d6b3198c1862d5bf45b4",
+}
+
+
+@pytest.mark.parametrize("figure_id", experiments.FIGURE_IDS)
+def test_closed_form_columns_are_pinned(figure_id, monkeypatch, tmp_path):
+    # Each panel is built by figure_dataset from its own grid; only the
+    # method is set to "analytic", which leaves the closed-form columns of a
+    # "both" panel unchanged and skips its numeric route.
+    run = experiments.run_grid
+    monkeypatch.setattr(experiments, "run_grid", lambda grid, jobs=None: run(
+        dataclasses.replace(grid, method="analytic"), jobs))
+    path = tmp_path / f"{figure_id}.csv"
+    write_records_csv(str(path), figure_dataset(figure_id).records)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    picked = [header.index(col) for col in CLOSED_FORM_COLUMNS]
+    text = "\n".join(",".join(row[i] for i in picked) for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLOSED_FORM_SHA256[figure_id]
