@@ -39,7 +39,6 @@ from .fock import (
 from .channels import loss_kraus_coefficients
 from .qfi import (
     EPS_RANK,
-    GeneratorChoice,
     QfiResult,
     qfi_mixed,
     qfi_pure,

@@ -155,9 +155,10 @@ def lowering_map(basis: FockBasis, mode: int, k: int) -> tuple[np.ndarray, np.nd
 class SchwingerOps:
     """What the production route needs of the two-mode algebra
     jx = (a^dag b + b^dag a)/2, jy = (a^dag b - b^dag a)/(2i),
-    jz = (a^dag a - b^dag b)/2, read from the occupations: `jz_diagonal`
-    (J_z's diagonal) and `hop_weights` (a^dag b's weights).  The dense
-    matrices are oracles (`mzqfi.oracle.schwinger_matrices`).
+    jz = (a^dag a - b^dag b)/2, read from the occupations: `hop_weights`
+    (a^dag b's weights) and `jy_shift`, which applies 2i J_y as two shifted
+    multiply-adds.  The dense matrices are oracles
+    (`mzqfi.oracle.schwinger_matrices`).
     """
 
     cutoff: FockCutoff
@@ -167,15 +168,21 @@ class SchwingerOps:
         return two_mode_basis(self.cutoff)
 
     @cached_property
-    def jz_diagonal(self) -> np.ndarray:
-        occ = self.basis.occupations
-        return _read_only(0.5 * (occ[:, 0] - occ[:, 1]).astype(float))
-
-    @cached_property
     def hop_weights(self) -> np.ndarray:
         """w with a^dag b |j> = w[j] |j - 1>: sqrt(n_B (n_A + 1)), 0 on block starts."""
         occ = self.basis.occupations
         return _read_only(np.sqrt((occ[:, 1] * (occ[:, 0] + 1)).astype(float)))
+
+    def jy_shift(self, vecs: np.ndarray) -> np.ndarray:
+        """(a^dag b - b^dag a) @ vecs = 2i J_y @ vecs, on the first axis of a
+        vector or a column stack: a^dag b moves each state one index back
+        inside its total-number block, where the basis order puts |n_A + 1,
+        n_B - 1> just before |n_A, n_B>."""
+        w = self.hop_weights[1:].reshape((-1,) + (1,) * (vecs.ndim - 1))
+        out = np.zeros(vecs.shape, dtype=complex)
+        out[:-1] = w * vecs[1:]        # a^dag b
+        out[1:] -= w * vecs[:-1]       # b^dag a = (a^dag b)^dag
+        return out
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -207,18 +214,21 @@ def two_mode_product(ca: np.ndarray, cb: np.ndarray, cutoff: FockCutoff) -> np.n
     return ca[occ[:, 0]] * cb[occ[:, 1]]
 
 
-def _renormalize(c: np.ndarray, tol_tail: float, what: str) -> tuple[np.ndarray, float]:
+def _renormalize(c: np.ndarray, tol_tail: float, label: tuple[str, float, int]
+                 ) -> tuple[np.ndarray, float]:
     """Read-only unit-norm copy of truncated amplitudes, plus the lost mass.
 
     Raises TailTooLarge when the lost (tail) mass exceeds tol_tail, and
-    DomainError when the amplitudes are not finite.
+    DomainError when the amplitudes are not finite.  The amplitudes are
+    named in the message as "{what}={value:.4g}, n_max={n_max}" from
+    label = (what, value, n_max), formatted only when raising.
     """
     retained = float(np.vdot(c, c).real)
     if not math.isfinite(retained):
-        raise DomainError(f"amplitudes are not finite ({what})")
+        raise DomainError("amplitudes are not finite ({}={:.4g}, n_max={})".format(*label))
     tail = max(0.0, 1.0 - retained)
     if tail > tol_tail:
-        raise TailTooLarge(tail, tol_tail, what)
+        raise TailTooLarge(tail, tol_tail, "{}={:.4g}, n_max={}".format(*label))
     c = c / math.sqrt(retained)
     c.setflags(write=False)
     return c, tail
@@ -231,10 +241,8 @@ def coherent_amplitudes(gamma: complex, cutoff: FockCutoff) -> tuple[np.ndarray,
     where tail is the probability mass beyond the cutoff before
     renormalization.  Raises TailTooLarge when tail > EPS_TAIL.
     """
-    return _renormalize(
-        coherent_sequence(gamma, cutoff.n_max), EPS_TAIL,
-        f"coherent |gamma|={abs(gamma):.4g}, n_max={cutoff.n_max}",
-    )
+    return _renormalize(coherent_sequence(gamma, cutoff.n_max), EPS_TAIL,
+                        ("coherent |gamma|", abs(gamma), cutoff.n_max))
 
 
 def check_alpha(alpha: float) -> None:
@@ -282,10 +290,8 @@ def _cat_sequence(params: CatParams, n_max: int) -> np.ndarray:
 
 def cat_state(params: CatParams, cutoff: FockCutoff) -> tuple[np.ndarray, float]:
     """Truncated amplitudes of the normalized cat state, plus tail mass."""
-    return _renormalize(
-        _cat_sequence(params, cutoff.n_max), EPS_TAIL,
-        f"cat alpha={params.alpha:.4g}, n_max={cutoff.n_max}",
-    )
+    return _renormalize(_cat_sequence(params, cutoff.n_max), EPS_TAIL,
+                        ("cat alpha", params.alpha, cutoff.n_max))
 
 
 @dataclass(frozen=True)
@@ -432,5 +438,5 @@ def input_state(
     gamma = 1j * alpha * complex(math.cos(phi), math.sin(phi))
     psi = two_mode_product(coherent_sequence(gamma, n_max), _cat_sequence(cat, n_max),
                            cutoff)
-    psi, tail = _renormalize(psi, tol_tail, f"input alpha={alpha:.4g}, n_max={n_max}")
+    psi, tail = _renormalize(psi, tol_tail, ("input alpha", alpha, n_max))
     return TwoModeState(psi, cutoff, tail_mass=tail)

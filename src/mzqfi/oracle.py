@@ -7,10 +7,10 @@ that on the import graph, and checks by refusing these builders that a
 numeric point calls none of them.  Here are the dense Schwinger matrices,
 the ladder and Kraus matrices, the splitter, phase and Mach-Zehnder
 unitaries, the Kraus loss channel with one row per Kraus pair, its
-vacuum-ancilla realization, the Uhlmann fidelity and the Bures
-finite-difference QFI.  Each operator is exact on the
-total-number-truncated basis, because each either conserves or lowers
-total photon number.
+vacuum-ancilla realization, the QFI of a dense density under a dense
+generator, the Uhlmann fidelity and the Bures finite-difference QFI.
+Each operator is exact on the total-number-truncated basis, because each
+either conserves or lowers total photon number.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import qfi
 from .channels import check_transmission, loss_kraus_coefficients
 from .errors import DimensionMismatch
 from .fock import (
@@ -30,7 +31,6 @@ from .fock import (
     TwoModeState,
     fock_basis,
     lowering_map,
-    schwinger_ops,
     shift_map,
     two_mode_basis,
 )
@@ -151,7 +151,8 @@ def beam_splitter_unitary(spec: BeamSplitterSpec, cutoff: FockCutoff) -> np.ndar
 
 def phase_shift_unitary(theta: float, cutoff: FockCutoff) -> np.ndarray:
     """Differential phase exp(i theta J_z): diagonal e^{i theta (n_A-n_B)/2}."""
-    return np.diag(np.exp(1j * theta * schwinger_ops(cutoff).jz_diagonal))
+    occ = two_mode_basis(cutoff).occupations
+    return np.diag(np.exp(1j * theta * (0.5 * (occ[:, 0] - occ[:, 1]).astype(float))))
 
 
 def mz_unitary(theta: float, cutoff: FockCutoff) -> np.ndarray:
@@ -229,8 +230,28 @@ def loss_channel_ancilla(state: TwoModeState, T: float) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# fidelity and the Bures finite difference
+# the dense QFI, the fidelity and the Bures finite difference
 # ---------------------------------------------------------------------------
+
+def dense_qfi(rho: np.ndarray, generator: np.ndarray, eps_rank: float = qfi.EPS_RANK
+              ) -> qfi.QfiResult:
+    """Spectral-sum QFI of a dense density under a dense generator: rho is
+    diagonalized in full (`qfi.spectral_decomposition`) and the pair sum of
+    `qfi.qfi_mixed` runs over every eigenpair.  The oracle of the
+    production route, for any generator (J_z between the splitters, J_y in
+    the input frame, or a rotated one)."""
+    qfi.check_eps_rank(eps_rank)
+    mat = np.asarray(rho, dtype=complex)
+    gen = np.asarray(generator)
+    if gen.shape != mat.shape:
+        raise DimensionMismatch(
+            f"generator shape {gen.shape} vs density shape {mat.shape}"
+        )
+    dec = qfi.spectral_decomposition(mat)
+    v = dec.eigenvectors
+    value = qfi.pair_sum(dec.eigenvalues, qfi.abs2(v.conj().T @ gen @ v), eps_rank)
+    return qfi.QfiResult(value, "spectral", rank=dec.rank(eps_rank))
+
 
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of two branch stacks.

@@ -26,14 +26,7 @@ from .fock import (
     check_affordable,
     input_state,
 )
-from .qfi import (
-    EPS_RANK,
-    GeneratorChoice,
-    QfiResult,
-    check_eps_rank,
-    qfi_mixed,
-    qfi_pure,
-)
+from .qfi import EPS_RANK, QfiResult, check_eps_rank, qfi_mixed, qfi_pure
 
 
 def probe_cutoff(alpha: float) -> FockCutoff:
@@ -93,8 +86,7 @@ def qfi_numeric(
 ) -> QfiResult:
     """Fock-basis QFI of the probe under J_y: pure at T = 1, spectral otherwise."""
     check_eps_rank(eps_rank)
-    jy = GeneratorChoice("jy")
     if transmission == 1.0:
-        return qfi_pure(probe_state(alpha, phi, omega, cutoff, tol_tail), jy)
+        return qfi_pure(probe_state(alpha, phi, omega, cutoff, tol_tail))
     rho = lossy_probe_density(alpha, phi, omega, transmission, cutoff, tol_tail)
-    return qfi_mixed(rho, jy, eps_rank=eps_rank)
+    return qfi_mixed(rho, eps_rank=eps_rank)

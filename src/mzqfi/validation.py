@@ -227,7 +227,7 @@ def _lossless_gap(points) -> float:
     worst = 0.0
     for alpha, phi, omega in points:
         state = simulate.probe_state(alpha, phi, omega)
-        numeric = qfi.qfi_pure(state, qfi.GeneratorChoice("jy")).value
+        numeric = qfi.qfi_pure(state).value
         worst = max(worst, abs(numeric - analytic.qfi_lossless(alpha, phi, omega)))
     return worst
 
@@ -332,15 +332,15 @@ def _mixed_pure_limit() -> float:
     """|dense spectral QFI of a projector - pure-state variance QFI|."""
     state = simulate.probe_state(0.3, 0.2, 1.0)
     jy = oracle.schwinger_matrices(state.cutoff).jy
-    return abs(qfi.qfi_mixed(fock.pure_density(state).matrix, jy).value
-               - qfi.qfi_pure(state, qfi.GeneratorChoice("jy")).value)
+    return abs(oracle.dense_qfi(fock.pure_density(state).matrix, jy).value
+               - qfi.qfi_pure(state).value)
 
 
 def _generator_sign_invariance() -> float:
-    """|F(G) - F(-G)|, exactly zero."""
+    """|F(G) - F(-G)| of the dense oracle, exactly zero."""
     rho = simulate.lossy_probe_density(0.3, 0.1, 1.0, 0.7)
-    jy = oracle.schwinger_matrices(rho.cutoff).jy
-    return abs(qfi.qfi_mixed(rho, jy).value - qfi.qfi_mixed(rho, -jy).value)
+    mat, jy = rho.matrix, oracle.schwinger_matrices(rho.cutoff).jy
+    return abs(oracle.dense_qfi(mat, jy).value - oracle.dense_qfi(mat, -jy).value)
 
 
 def _unitary_invariance() -> float:
@@ -353,20 +353,19 @@ def _unitary_invariance() -> float:
     rho = simulate.lossy_probe_density(0.3, 0.3, 2.0, 0.83)
     cutoff, mat = rho.cutoff, rho.matrix
     jy = oracle.schwinger_matrices(cutoff).jy
-    base = qfi.qfi_mixed(mat, jy).value
+    base = oracle.dense_qfi(mat, jy).value
     unitaries = [oracle.beam_splitter_unitary(oracle.BeamSplitterSpec(T), cutoff)
                  for T in (0.5, 0.3)]
     unitaries.append(oracle.phase_shift_unitary(1.1, cutoff))
-    return max(abs(qfi.qfi_mixed(U @ mat @ U.conj().T, U @ jy @ U.conj().T).value - base)
+    return max(abs(oracle.dense_qfi(U @ mat @ U.conj().T, U @ jy @ U.conj().T).value - base)
                for U in unitaries)
 
 
 def _rank_cutoff_stability() -> float:
     """QFI shift between rank thresholds 1e-10 and 1e-11."""
     rho = simulate.lossy_probe_density(0.3, 0.1, _OMEGA_67, 0.83)
-    jy = oracle.schwinger_matrices(rho.cutoff).jy
-    return abs(qfi.qfi_mixed(rho, jy, eps_rank=1e-10).value
-               - qfi.qfi_mixed(rho, jy, eps_rank=1e-11).value)
+    return abs(qfi.qfi_mixed(rho, eps_rank=1e-10).value
+               - qfi.qfi_mixed(rho, eps_rank=1e-11).value)
 
 
 def _factored_vs_dense() -> float:
@@ -389,7 +388,7 @@ def _factored_vs_dense() -> float:
             dense = oracle.loss_channel(pure, T).matrix
             for eps in (qfi.EPS_RANK, 0.4):
                 got = simulate.qfi_numeric(alpha, 0.3, omega, T, cutoff, eps_rank=eps)
-                ref = qfi.qfi_mixed(dense, jz, eps_rank=eps)
+                ref = oracle.dense_qfi(dense, jz, eps_rank=eps)
                 if got.rank != ref.rank:
                     return math.inf
                 gap = abs(got.value - ref.value)
@@ -402,9 +401,8 @@ def _fidelity_cross_check() -> float:
     worst = 0.0
     for T in (0.5, 0.83):
         rho = simulate.lossy_probe_density(0.3, 0.2, 1.0, T)
-        jy = oracle.schwinger_matrices(rho.cutoff).jy
-        spectral = qfi.qfi_mixed(rho, jy).value
-        fid = oracle.qfi_fidelity_estimate(rho, jy)
+        spectral = qfi.qfi_mixed(rho).value
+        fid = oracle.qfi_fidelity_estimate(rho, oracle.schwinger_matrices(rho.cutoff).jy)
         worst = max(worst, abs(spectral - fid) / abs(spectral))
     return worst
 

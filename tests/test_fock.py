@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mzqfi import (
     hop_operator,
     input_state,
     lowering_power,
+    phase_shift_unitary,
     probe_cutoff,
     probe_state,
     pure_density,
@@ -77,14 +79,16 @@ def test_jz_is_diagonal_in_smallest_basis():
 
 
 def test_schwinger_ops_hold_no_dense_matrix():
-    # the route reads J_z's diagonal and the a^dag b weights off the
-    # occupations; the dense matrices are the oracle's, cached and read-only
+    # the route reads the a^dag b weights off the occupations; the dense
+    # matrices are the oracle's, cached and read-only, and so is the J_z
+    # diagonal of its phase shifter, also read off the occupations
     ops = SchwingerOps(FockCutoff(6))
-    assert not {"jx", "jy", "jz"} & set(dir(ops))
+    assert not {"jx", "jy", "jz", "jz_diagonal"} & set(dir(ops))
     mats = schwinger_matrices(ops.cutoff)
     assert schwinger_matrices(FockCutoff(6)) is mats
     assert not any(mat.flags.writeable for mat in mats)
-    np.testing.assert_array_equal(ops.jz_diagonal, np.diagonal(mats.jz).real)
+    np.testing.assert_array_equal(phase_shift_unitary(0.7, ops.cutoff),
+                                  np.diag(np.exp(0.7j * np.diagonal(mats.jz).real)))
     # a^dag b |j> = w[j] |j - 1>, and nothing else
     hop_ab = hop_operator(ops.basis, 0, 1)
     np.testing.assert_array_equal(hop_ab, np.diag(ops.hop_weights[1:], 1))
@@ -121,8 +125,15 @@ def test_coherent_amplitudes_match_direct_formula():
 
 
 def test_coherent_tail_guard():
-    with pytest.raises(TailTooLarge):
-        coherent_amplitudes(3.0, FockCutoff(6))
+    # each builder names its amplitudes in the message, formatted only to raise
+    for build, label in (
+            (lambda: coherent_amplitudes(0.3 + 2.9j, FockCutoff(6)),
+             "coherent |gamma|=2.915, n_max=6"),
+            (lambda: cat_state(CatParams(2.0, 1.0), FockCutoff(6)), "cat alpha=2, n_max=6"),
+            (lambda: input_state(1.0, 0.3, CatParams(1.0, 1.0), FockCutoff(4)),
+             "input alpha=1, n_max=4")):
+        with pytest.raises(TailTooLarge, match=re.escape(f"exceeds tolerance 1.000e-10 ({label})")):
+            build()
 
 
 def test_cat_parity():

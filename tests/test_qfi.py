@@ -14,13 +14,13 @@ from mzqfi import (
     DimensionMismatch,
     DomainError,
     FockCutoff,
-    GeneratorChoice,
     NotDensityMatrix,
     TwoModeState,
     beam_splitter_unitary,
     coherent_amplitudes,
     evaluate_point,
     fock_basis,
+    hop_operator,
     lossy_probe_density,
     probe_cutoff,
     probe_state,
@@ -28,11 +28,12 @@ from mzqfi import (
     qfi_mixed,
     qfi_numeric,
     qfi_pure,
+    schwinger_ops,
     spectral_decomposition,
     two_mode_basis,
     uhlmann_fidelity,
 )
-from mzqfi.oracle import loss_channel, schwinger_matrices
+from mzqfi.oracle import dense_qfi, loss_channel, schwinger_matrices
 from mzqfi.qfi import RITZ_TOL
 
 
@@ -45,12 +46,17 @@ def _coherent_vacuum(gamma, cutoff):
 
 
 def test_coherent_probe_qfi_under_jz():
-    # Poissonian photon number: 4 Var(n_A / 2) = |gamma|^2
+    # Poissonian photon number: 4 Var(n_A / 2) = |gamma|^2, on the projector
+    # with the dense oracle; with arm B empty, 4 Var(J_y) is |gamma|^2 too
     gamma = 0.6
-    state = _coherent_vacuum(gamma, FockCutoff(14))
-    res = qfi_pure(state, GeneratorChoice("jz"))
+    cutoff = FockCutoff(14)
+    state = _coherent_vacuum(gamma, cutoff)
+    res = dense_qfi(pure_density(state).matrix, schwinger_matrices(cutoff).jz)
     assert res.value == pytest.approx(gamma**2, rel=1e-10)
-    assert res.method == "pure"
+    assert res.rank == 1
+    pure = qfi_pure(state)
+    assert pure.value == pytest.approx(gamma**2, rel=1e-10)
+    assert pure.method == "pure"
 
 
 def test_noon_state_heisenberg_scaling():
@@ -60,13 +66,14 @@ def test_noon_state_heisenberg_scaling():
     psi = np.zeros(basis.dim, dtype=complex)
     psi[basis.lookup((n, 0))] = 1.0 / math.sqrt(2.0)
     psi[basis.lookup((0, n))] = 1.0 / math.sqrt(2.0)
-    res = qfi_pure(TwoModeState(psi, cutoff), GeneratorChoice("jz"))
+    res = dense_qfi(pure_density(TwoModeState(psi, cutoff)).matrix,
+                    schwinger_matrices(cutoff).jz)
     assert res.value == pytest.approx(n**2, rel=1e-12)
 
 
 def test_mixed_reduces_to_pure_on_projector():
     # the value against qfi_pure is the registry's mixed_pure_limit entry
-    mixed = qfi_mixed(pure_density(probe_state(0.3, 0.2, 1.0)), GeneratorChoice("jy"))
+    mixed = qfi_mixed(pure_density(probe_state(0.3, 0.2, 1.0)))
     assert mixed.method == "spectral"
     assert mixed.rank == 1
 
@@ -75,23 +82,19 @@ def test_maximally_mixed_has_zero_qfi():
     basis = fock_basis(2, 4)
     rho = np.eye(basis.dim) / basis.dim
     jz = schwinger_matrices(FockCutoff(4)).jz
-    assert qfi_mixed(rho, jz).value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_generator_choice_validation():
-    with pytest.raises(DomainError):
-        GeneratorChoice("jx")
+    assert dense_qfi(rho, jz).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_generator_choice_applies_its_matrix():
+    # the one generator, J_y, as 2i J_y = a^dag b - b^dag a
     cutoff = FockCutoff(5)
     dim = two_mode_basis(cutoff).dim
     rng = np.random.default_rng(5)
     vecs = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
-    for which in ("jy", "jz"):
-        gen, dense = GeneratorChoice(which), getattr(schwinger_matrices(cutoff), which)
-        for x in (vecs, vecs[:, 0]):
-            np.testing.assert_allclose(gen.apply(cutoff, x), dense @ x, rtol=0, atol=1e-14)
+    hop_ab = hop_operator(two_mode_basis(cutoff), 0, 1)
+    for x in (vecs, vecs[:, 0]):
+        np.testing.assert_allclose(schwinger_ops(cutoff).jy_shift(x),
+                                   (hop_ab - hop_ab.conj().T) @ x, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 20, 24, 41])
@@ -104,15 +107,8 @@ def test_jy_shift_matches_the_dense_jy(n_max):
     vecs = rng.normal(size=(len(jy), 4)) + 1j * rng.normal(size=(len(jy), 4))
     vecs /= np.linalg.norm(vecs, axis=0)
     for x in (vecs, vecs[:, 0]):
-        np.testing.assert_allclose(GeneratorChoice("jy").apply(cutoff, x), jy @ x,
+        np.testing.assert_allclose(schwinger_ops(cutoff).jy_shift(x) / 2j, jy @ x,
                                    rtol=0, atol=1e-15)
-
-
-def test_generator_choice_needs_cutoff_for_raw_arrays():
-    basis = fock_basis(2, 3)
-    rho = np.eye(basis.dim) / basis.dim
-    with pytest.raises(DimensionMismatch):
-        qfi_mixed(rho, GeneratorChoice("jz"))
 
 
 def test_spectral_decomposition_ordering_and_guard():
@@ -132,8 +128,8 @@ def test_diagonal_fast_path_matches_dense_route():
     u = beam_splitter_unitary(BeamSplitterSpec(0.5), cutoff)
     rotated_rho = u @ rho.matrix @ u.conj().T
     rotated_gen = u @ jy @ u.conj().T
-    a = qfi_mixed(rho.matrix, jy).value
-    b = qfi_mixed(rotated_rho, rotated_gen).value
+    a = dense_qfi(rho.matrix, jy).value
+    b = dense_qfi(rotated_rho, rotated_gen).value
     assert b == pytest.approx(a, abs=1e-10)
 
 
@@ -180,9 +176,8 @@ def test_uhlmann_fidelity_matches_the_dense_square_root_form():
 def test_eps_rank_controls_retained_spectrum():
     # the lossy probe is a two-branch mixture, hence exactly rank 2
     rho = lossy_probe_density(0.3, 0.1, 1.0, 0.5)
-    jy = schwinger_matrices(rho.cutoff).jy
-    full = qfi_mixed(rho, jy, eps_rank=1e-12)
-    coarse = qfi_mixed(rho, jy, eps_rank=0.4)
+    full = qfi_mixed(rho, eps_rank=1e-12)
+    coarse = qfi_mixed(rho, eps_rank=0.4)
     assert full.rank == 2
     assert coarse.rank == 1
 
@@ -190,11 +185,11 @@ def test_eps_rank_controls_retained_spectrum():
 @pytest.mark.parametrize("eps_rank", [-1.0, -1e-300, math.nan, math.inf])
 def test_eps_rank_must_be_finite_and_non_negative(eps_rank):
     # a negative threshold admits p_i + p_j = 0 pairs, which gave 0/0 = nan
-    factored = lossy_probe_density(0.3, 0.1, 1.0, 0.5)
-    jy = schwinger_matrices(factored.cutoff).jy
-    for rho in (factored, factored.matrix):
-        with pytest.raises(DomainError, match="eps_rank must be finite and non-negative"):
-            qfi_mixed(rho, jy, eps_rank=eps_rank)
+    rho = lossy_probe_density(0.3, 0.1, 1.0, 0.5)
+    with pytest.raises(DomainError, match="eps_rank must be finite and non-negative"):
+        qfi_mixed(rho, eps_rank=eps_rank)
+    with pytest.raises(DomainError, match="eps_rank must be finite and non-negative"):
+        dense_qfi(rho.matrix, schwinger_matrices(rho.cutoff).jy, eps_rank=eps_rank)
     for T in (0.5, 1.0):
         with pytest.raises(DomainError, match="eps_rank must be finite and non-negative"):
             qfi_numeric(0.3, 0.1, 1.0, T, eps_rank=eps_rank)
@@ -213,17 +208,15 @@ def test_factored_route_widens_to_a_rank_12_stack():
     heaviest = branches[np.argsort(-np.linalg.norm(branches, axis=1))[:4]]
     q, _ = np.linalg.qr(heaviest.T)
     assert np.linalg.norm(branches - (branches @ q.conj()) @ q.T) ** 2 > 1e-3
-    ops = schwinger_matrices(cutoff)
-    for gen, dense_gen in ((GeneratorChoice("jz"), ops.jz), (GeneratorChoice("jy"), ops.jy),
-                           (ops.jz, ops.jz)):
-        for eps_rank in (EPS_RANK, 1e-3):
-            got = qfi_mixed(rho, gen, eps_rank=eps_rank)
-            ref = qfi_mixed(rho.matrix, dense_gen, eps_rank=eps_rank)
-            assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
-            assert got.rank == ref.rank
-            assert got.discarded_weight <= EPS_RANK
-            assert ref.discarded_weight == 0.0
-    assert qfi_mixed(rho, GeneratorChoice("jz")).rank == 12
+    jy = schwinger_matrices(cutoff).jy
+    for eps_rank in (EPS_RANK, 1e-3):
+        got = qfi_mixed(rho, eps_rank=eps_rank)
+        ref = dense_qfi(rho.matrix, jy, eps_rank=eps_rank)
+        assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+        assert got.rank == ref.rank
+        assert got.discarded_weight <= EPS_RANK
+        assert ref.discarded_weight == 0.0
+    assert qfi_mixed(rho).rank == 12
 
 
 def test_strong_loss_certifies_on_one_span(monkeypatch):
@@ -264,9 +257,8 @@ def test_prefix_form_matches_its_formed_stack(point, cutoff):
     # only on the formed rows
     rho = lossy_probe_density(*point, cutoff)
     plain = DensityMatrix(rho.branches, rho.cutoff, rho.tail_mass)
-    jy = GeneratorChoice("jy")
-    got, ref = qfi_mixed(rho, jy), qfi_mixed(plain, jy)
-    dense = qfi_mixed(rho.matrix, schwinger_matrices(rho.cutoff).jy)
+    got, ref = qfi_mixed(rho), qfi_mixed(plain)
+    dense = dense_qfi(rho.matrix, schwinger_matrices(rho.cutoff).jy)
     assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
     assert got.value == pytest.approx(dense.value, rel=1e-12, abs=0.0)
     assert got.rank == ref.rank == dense.rank
@@ -347,9 +339,9 @@ def test_lossy_point_at_the_domain_corners(point, cutoff):
     own = DensityMatrix(rho.refs, cutoff, rho.tail_mass, rows=rho.rows)
     np.testing.assert_array_equal(rho.block_sq, own.block_sq)
     np.testing.assert_allclose(rho.row_mass, own.row_mass, rtol=1e-14, atol=0.0)
-    formed = qfi_mixed(DensityMatrix(rho.branches, cutoff, rho.tail_mass), GeneratorChoice("jy"))
+    formed = qfi_mixed(DensityMatrix(rho.branches, cutoff, rho.tail_mass))
     dense = loss_channel(pure_density(probe_state(*point[:3], cutoff)), point[3]).matrix
-    ref = qfi_mixed(dense, schwinger_matrices(cutoff).jy)
+    ref = dense_qfi(dense, schwinger_matrices(cutoff).jy)
     assert got.value == pytest.approx(formed.value, rel=1e-13, abs=0.0)
     assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
     assert got.rank == formed.rank == ref.rank

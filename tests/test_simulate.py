@@ -11,12 +11,12 @@ import pytest
 
 import mzqfi.fock as fock
 import mzqfi.oracle as oracle
+import mzqfi.qfi as qfi
 import mzqfi.simulate as simulate
 from mzqfi import (
     CatParams,
     DomainError,
     FockCutoff,
-    GeneratorChoice,
     LossyRho2x2,
     TailTooLarge,
     TwoModeState,
@@ -37,7 +37,7 @@ from mzqfi import (
     two_mode_basis,
 )
 from mzqfi.fock import check_affordable
-from mzqfi.oracle import schwinger_matrices
+from mzqfi.oracle import dense_qfi, schwinger_matrices
 from mzqfi.qfi import RITZ_TOL
 
 OMEGA_67 = 6.0 * math.pi / 7.0
@@ -80,9 +80,8 @@ def test_full_transmission_pipeline_consistency():
     # at T = 1 the lossy route's density is the pure input, under J_y
     alpha, phi, omega = 0.3, 0.2, 2.0
     rho = lossy_probe_density(alpha, phi, omega, 1.0)
-    via_mixed = qfi_mixed(rho, schwinger_matrices(rho.cutoff).jy).value
-    state = probe_state(alpha, phi, omega)
-    via_pure = qfi_pure(state, schwinger_matrices(state.cutoff).jy).value
+    via_mixed = qfi_mixed(rho).value
+    via_pure = qfi_pure(probe_state(alpha, phi, omega)).value
     assert via_mixed == pytest.approx(via_pure, abs=1e-9)
 
 
@@ -136,23 +135,27 @@ def test_kraus_fan_out_matches_density_loss_channel():
 
 def test_numeric_route_builds_no_dense_operator(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the numeric route built a dense two-mode operator "
-                             "or the per-row branch stack")
+        raise AssertionError("the numeric route built a dense two-mode operator, "
+                             "the per-row branch stack or a dense eigensolve")
 
     point, cutoff = (0.3, 0.4, 2.0), FockCutoff(18)
     with monkeypatch.context() as m:
         for name in ("dense_operator", "hop_operator", "lowering_power",
-                     "schwinger_matrices", "hermitian_expm", "number_conserving_expm"):
+                     "schwinger_matrices", "hermitian_expm", "number_conserving_expm",
+                     "dense_qfi"):
             m.setattr(oracle, name, refuse)
+        m.setattr(qfi, "spectral_decomposition", refuse)
         m.setattr(fock.DensityMatrix, "matrix", property(refuse))
         m.setattr(fock.DensityMatrix, "branches", property(refuse))
         got = {T: qfi_numeric(*point, T, cutoff).value for T in (0.0, 0.37, 1.0)}
         rhos = {T: lossy_probe_density(*point, T, cutoff) for T in (0.0, 0.37)}
         with pytest.raises(AssertionError, match="dense two-mode operator"):
             oracle.mz_unitary(0.3, cutoff)
+        with pytest.raises(AssertionError, match="dense eigensolve"):
+            qfi.spectral_decomposition(np.eye(2))
     jy = schwinger_matrices(cutoff).jy
-    ref = {T: qfi_mixed(rho.matrix, jy).value for T, rho in rhos.items()}
-    ref[1.0] = qfi_pure(probe_state(*point, cutoff).amplitudes, jy).value
+    ref = {T: dense_qfi(rho.matrix, jy).value for T, rho in rhos.items()}
+    ref[1.0] = dense_qfi(pure_density(probe_state(*point, cutoff)).matrix, jy).value
     assert ref[0.0] == 0.0
     for T, value in got.items():
         assert value == pytest.approx(ref[T], rel=1e-12, abs=0.0)
@@ -208,7 +211,7 @@ def test_tight_cutoff_keeps_a_small_stack():
     u = _dense_splitter(cutoff)
     split = TwoModeState(u @ probe_state(*point[:3], cutoff).amplitudes, cutoff)
     dense = loss_channel(pure_density(split), point[3]).matrix
-    oracle = qfi_mixed(dense, schwinger_matrices(cutoff).jz).value
+    oracle = dense_qfi(dense, schwinger_matrices(cutoff).jz).value
     assert result.value == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert result.value == pytest.approx(qfi_lossy(*point), rel=0.0, abs=1e-8)
     assert lossy_probe_density(*point, cutoff).branches.shape[0] <= 42
@@ -290,5 +293,5 @@ def test_discarded_weight_is_certified():
         phi, omega = rng.uniform(-math.pi / 2, math.pi / 2), rng.uniform(0.0, math.pi)
         for T in (0.0, 0.37, 0.83, 0.999):
             rho = lossy_probe_density(alpha, phi, omega, T)
-            result = qfi_mixed(rho, GeneratorChoice("jz"))
+            result = qfi_mixed(rho)
             assert 0.0 <= result.discarded_weight <= RITZ_TOL
