@@ -27,12 +27,26 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import check_transmission
-from .errors import BasisDegenerate
+from .errors import BasisDegenerate, DomainError
 from .fock import CatParams, check_alpha, check_phi
 
 EPS_BASIS = 1e-12   # 1 - p_t^2 below this: branches coincide, 2x2 basis gone
 EPS_GAP = 1e-12     # squared eigenvalue gap below this: spectrum degenerate
 EPS_Z = 1e-300      # off-diagonal weight below this is treated as exactly 0
+
+
+def _check_finite(values, alpha: float, transmission: float) -> None:
+    """Raise DomainError unless every value is finite.
+
+    The closed forms grow as (T alpha^2)^2: past T alpha^2 ~ 1e153 a
+    coefficient or a result overflows to inf or nan, well inside the alpha
+    that check_alpha accepts.  Each closed form checks once, on the
+    coefficients of its phi curve that grow so, or on its result; no finite
+    value changes.
+    """
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"the closed form overflows at alpha={alpha!r}, "
+                          f"T={transmission!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +91,11 @@ class LosslessPhiCurve(NamedTuple):
 
     F(phi) = base + k_cos2 cos(2 phi) - k_sin_sq sin^2(phi).  Calling the
     curve keeps the floating-point order of the full expression, so
-    curve(phi) equals qfi_lossless(alpha, phi, omega) bit for bit.
+    curve(phi) equals qfi_lossless(alpha, phi, omega) bit for bit.  The one
+    expression takes a float phi through math and an array of phases
+    through NumPy, whose element-wise operations give each element the bits
+    of the float call; sin^2 is sin * sin in both (docs/formulas.md, "Phase
+    matching").
     """
 
     base: float       # 2 n_a n_b + n_a + n_b
@@ -85,9 +103,11 @@ class LosslessPhiCurve(NamedTuple):
     k_sin_sq: float   # 16 alpha^4 N2^2 E^2 sin^2(omega)
     n_total: float    # n_a + n_b, as total_photon_number
 
-    def __call__(self, phi: float) -> float:
-        return (self.base + self.k_cos2 * math.cos(2.0 * phi)
-                - self.k_sin_sq * math.sin(phi) ** 2)
+    def __call__(self, phi):
+        m = np if isinstance(phi, np.ndarray) else math
+        sin_phi = m.sin(phi)
+        return (self.base + self.k_cos2 * m.cos(2.0 * phi)
+                - self.k_sin_sq * (sin_phi * sin_phi))
 
 
 def lossless_curve(alpha: float, omega: float) -> LosslessPhiCurve:
@@ -97,12 +117,14 @@ def lossless_curve(alpha: float, omega: float) -> LosslessPhiCurve:
     E = math.exp(-2.0 * a2)
     n2 = params.n_alpha_sq
     n_b = 2.0 * n2 * a2 * (1.0 - E * math.cos(omega))
-    return LosslessPhiCurve(
+    curve = LosslessPhiCurve(
         base=2.0 * a2 * n_b + a2 + n_b,
         k_cos2=2.0 * a2 * a2,
         k_sin_sq=16.0 * a2 * a2 * n2 * n2 * E * E * math.sin(omega) ** 2,
         n_total=_photon_number(alpha, n2),
     )
+    _check_finite(curve[:-1], alpha, 1.0)   # the coefficients of F, all ~ alpha^4
+    return curve
 
 
 def qfi_lossless(alpha: float, phi: float, omega: float) -> float:
@@ -121,7 +143,9 @@ def _photon_number(alpha: float, n_alpha_sq: float) -> float:
 
 def total_photon_number(alpha: float, omega: float) -> float:
     """n_a + n_b = 2 alpha^2 / (1 + E cos omega)."""
-    return _photon_number(alpha, CatParams(alpha, omega).n_alpha_sq)
+    n_total = _photon_number(alpha, CatParams(alpha, omega).n_alpha_sq)
+    _check_finite((n_total,), alpha, 1.0)
+    return n_total
 
 
 def qfi_lossless_max_in_n(alpha: float, omega: float) -> float:
@@ -132,7 +156,9 @@ def qfi_lossless_max_in_n(alpha: float, omega: float) -> float:
     """
     n_total = total_photon_number(alpha, omega)
     e_cos = math.exp(-2.0 * alpha * alpha) * math.cos(omega)
-    return n_total + (1.0 + e_cos) * n_total * n_total
+    f_max = n_total + (1.0 + e_cos) * n_total * n_total
+    _check_finite((f_max,), alpha, 1.0)
+    return f_max
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +301,8 @@ class LossyPhiCurve(NamedTuple):
     F(phi) = base + k4 cos^2(phi) w_cos - k4 sin^2(phi) (mu^2/Z) Z2
              - k4 sin(2 phi) w_sin mu sin tau,
     with k4 = 4 T^2 a^4.  Calling the curve keeps the floating-point order
-    of the full expression, so curve(phi) equals qfi_lossy bit for bit.
+    of the full expression, so curve(phi) equals qfi_lossy bit for bit; an
+    array of phases gives the array of those values, as in LosslessPhiCurve.
     At T = 0 or alpha = 0 every coefficient is zero and F = +0.0 at every phi.
     """
 
@@ -289,15 +316,16 @@ class LossyPhiCurve(NamedTuple):
     sin_tau: float
     n_total: float        # n_a + n_b, as total_photon_number
 
-    def __call__(self, phi: float) -> float:
+    def __call__(self, phi):
+        m = np if isinstance(phi, np.ndarray) else math
         k4 = self.k4
-        cos_phi = math.cos(phi)
-        sin_phi = math.sin(phi)
+        cos_phi = m.cos(phi)
+        sin_phi = m.sin(phi)
         return (
             self.base
             + k4 * cos_phi * cos_phi * self.w_cos
             - k4 * sin_phi * sin_phi * self.mu_sq_over_z * self.z2
-            - k4 * math.sin(2.0 * phi) * self.w_sin * self.mu * self.sin_tau
+            - k4 * m.sin(2.0 * phi) * self.w_sin * self.mu * self.sin_tau
         )
 
 
@@ -313,7 +341,7 @@ def lossy_curve(alpha: float, omega: float, transmission: float) -> LossyPhiCurv
     ta2 = transmission * alpha * alpha
     c = math.cos(rho2.tau_phase)
     sigma = rho2.sigma_z_exp
-    return LossyPhiCurve(
+    curve = LossyPhiCurve(
         base=2.0 * ta2 * (terms.x_term + 1.0) + 4.0 * ta2 * ta2 * terms.x_term,
         k4=4.0 * ta2 * ta2,
         w_cos=terms.z_term + 2.0 * terms.mu * sigma * c - terms.mu_sq_over_z * terms.z1,
@@ -324,6 +352,10 @@ def lossy_curve(alpha: float, omega: float, transmission: float) -> LossyPhiCurv
         sin_tau=math.sin(rho2.tau_phase),
         n_total=n_total,
     )
+    # base and k4 grow as (T alpha^2)^2; the other coefficients are
+    # ratios of the 2x2 problem's entries, finite by its own checks
+    _check_finite((curve.base, curve.k4), alpha, transmission)
+    return curve
 
 
 def qfi_lossy(alpha: float, phi: float, omega: float, transmission: float) -> float:
@@ -358,13 +390,15 @@ def qfi_lossy_max(alpha: float, omega: float, transmission: float) -> float:
     terms = lossy_qfi_terms(rho2)
     ta2 = transmission * alpha * alpha
     c = math.cos(rho2.tau_phase)
-    return (
+    f_max = (
         2.0 * ta2 * (terms.x_term + 1.0)
         + 4.0 * ta2 * ta2 * terms.z_term
         + 4.0 * ta2 * ta2
         * (terms.x_term + 2.0 * terms.mu * rho2.sigma_z_exp * c
            - terms.mu_sq_over_z * terms.z1)
     )
+    _check_finite((f_max,), alpha, transmission)
+    return f_max
 
 
 def qfi_lossy_even(alpha: float, phi: float, transmission: float) -> float:
@@ -387,11 +421,13 @@ def qfi_lossy_even(alpha: float, phi: float, transmission: float) -> float:
     p_t = math.exp(-2.0 * a2 * T)
     p_r = math.exp(-2.0 * a2 * (1.0 - T))
     w = m2 * m2 * (1.0 - p_r * p_r)
-    return (
+    f = (
         4.0 * ta2 * (m2 + ta2 * (2.0 * m2 - 1.0))
         + 4.0 * ta2 * ta2 * math.cos(phi) ** 2 * (1.0 - 4.0 * w)
         - 16.0 * ta2 * ta2 * math.sin(phi) ** 2 * w * p_t * p_t
     )
+    _check_finite((f,), alpha, transmission)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -514,5 +550,9 @@ def qfi_lossy_parts(alpha: float, phi: float, omega: float, transmission: float
 
     x = mom.jz_aa * (-2.0 * w - t * (u * c - 1j * s) / q) \
         + 1j * k_s * (c - 1j * u * s) / q
-    part3 = -16.0 * lp * lm * (x.real**2 + x.imag**2)
+    try:
+        part3 = -16.0 * lp * lm * (x.real**2 + x.imag**2)
+    except OverflowError:   # float ** raises where float * gives inf
+        part3 = math.inf
+    _check_finite((part1, part2, part3), alpha, transmission)
     return LossyQfiParts(part1, part2, part3)

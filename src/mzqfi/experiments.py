@@ -44,8 +44,11 @@ FIGURE_IDS = ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2c")
 _METHODS = ("analytic", "numeric", "both")
 
 
-_DEFAULT_PHI_GRID = tuple(
-    np.linspace(-math.pi / 2.0, math.pi / 2.0, PHI_POINTS, endpoint=False).tolist())
+# the default phi grid as an array (read-only: every scan shares it) and as
+# the tuple of its Python floats, each built once
+_DEFAULT_PHI_ARRAY = np.linspace(-math.pi / 2.0, math.pi / 2.0, PHI_POINTS, endpoint=False)
+_DEFAULT_PHI_ARRAY.flags.writeable = False
+_DEFAULT_PHI_GRID = tuple(_DEFAULT_PHI_ARRAY.tolist())
 
 
 def default_phi_grid() -> tuple[float, ...]:
@@ -59,14 +62,17 @@ def default_omega_grid(points: int = OMEGA_POINTS) -> tuple[float, ...]:
     return tuple(i * math.pi / points for i in range(points))
 
 
-def _check_axis(name: str, axis) -> None:
-    if len(axis) == 0:
+def _check_axis(name: str, axis) -> np.ndarray:
+    """axis as a float array, once it is non-empty, finite and sorted ascending."""
+    values = np.asarray(axis, dtype=float)
+    if values.size == 0:
         raise DomainError(f"{name} must be non-empty")
     # written with <= so that a NaN entry fails; once sorted, the two ends
     # bound every entry, so checking them rejects a lone NaN and infinities
-    if not (all(a <= b for a, b in zip(axis, axis[1:]))
-            and math.isfinite(axis[0]) and math.isfinite(axis[-1])):
+    if not (np.all(values[:-1] <= values[1:])
+            and math.isfinite(values[0]) and math.isfinite(values[-1])):
         raise DomainError(f"{name} must be finite and sorted ascending")
+    return values
 
 
 def _check_phi_window(phi_grid) -> None:
@@ -177,6 +183,9 @@ class _PointEvaluator:
             self.cutoff = probe_cutoff(alpha)
         self.n_total = (total_photon_number(alpha, omega) if self.curve is None
                         else self.curve.n_total)
+        self.n_sq = self.n_total * self.n_total
+        if not math.isfinite(self.n_sq):
+            raise DomainError(f"N^2 overflows at alpha={alpha!r}")
 
     def numeric(self, phi: float):
         return qfi_numeric(self.alpha, phi, self.omega, self.T, self.cutoff,
@@ -187,11 +196,20 @@ class _PointEvaluator:
         numeric value when that is the only route."""
         return self.numeric(phi).value if self.curve is None else self.curve(phi)
 
-    def column(self, phis) -> list[SweepRecord]:
-        """The records at each phi of phis, in order."""
+    def column(self, phis, values) -> list[SweepRecord]:
+        """The records at each phi of phis, in order.
+
+        values is None, or the array of closed-form values at phis that a
+        closed-form scan takes from one array expression of its curve:
+        then the records are built in one comprehension, with the bits of
+        one curve call per phase.  Otherwise each phase calls the curve on
+        a float, as a single point does, and then the numeric route.
+        """
         alpha, omega, T, curve = self.alpha, self.omega, self.T, self.curve
-        run_numeric, n_total = self.run_numeric, self.n_total
-        n_sq = n_total * n_total
+        run_numeric, n_total, n_sq = self.run_numeric, self.n_total, self.n_sq
+        if values is not None:
+            return [SweepRecord(alpha, phi, omega, T, f, None, None, None, n_total, n_sq)
+                    for phi, f in zip(phis, values.tolist())]
         records = []
         for phi in phis:
             f_analytic = None if curve is None else curve(phi)
@@ -207,7 +225,7 @@ class _PointEvaluator:
 
     def __call__(self, phi: float) -> SweepRecord:
         check_phi(phi)
-        return self.column((phi,))[0]
+        return self.column((phi,), None)[0]
 
 
 def evaluate_point(
@@ -309,23 +327,30 @@ def scan_phi(
 ) -> PhiScan:
     """Sweep phi, then take the optimum from the exact cos 2phi harmonic.
 
-    The phi-independent work is done once; each grid record still equals
-    evaluate_point at its phi.  phi_m = atan2(c, b) / 2 from the harmonic
-    of three phases (numeric values for method "numeric", closed form
-    otherwise).  The grid values check the fit: a worst residual above
-    HARMONIC_RTOL times max |F| raises HarmonicMismatch.
+    The grid is checked once, as an array (the default grid's is built at
+    import).  The phi-independent work is done once, and a closed-form
+    column is one array expression over the grid; each grid record still
+    equals evaluate_point at its phi, bit for bit.  phi_m = atan2(c, b) / 2
+    from the harmonic of three phases (numeric values for method "numeric",
+    closed form otherwise).  The grid values check the fit: a worst
+    residual above HARMONIC_RTOL times max |F| raises HarmonicMismatch.
     """
     if phi_grid is None:
-        phi_grid = default_phi_grid()
-    _check_axis("phi_grid", phi_grid)
-    _check_phi_window(phi_grid)
+        phi_grid, phis = _DEFAULT_PHI_GRID, _DEFAULT_PHI_ARRAY
+    else:
+        phis = _check_axis("phi_grid", phi_grid)
+        _check_phi_window(phis)
     point = _PointEvaluator(alpha, omega, T, method, n_max)
-    records = tuple(point.column(phi_grid))
+    if point.run_numeric:
+        records = tuple(point.column(phi_grid, None))
+        values = np.array([r.F_numeric if point.curve is None else r.F_analytic
+                           for r in records])
+    else:
+        values = point.curve(phis)
+        records = tuple(point.column(phi_grid, values))
     f = point.value
-    values = np.array([r.F_numeric if point.curve is None else r.F_analytic
-                       for r in records])
     a, b, c = phi_harmonic(f)
-    two_phi = 2.0 * np.asarray(phi_grid, dtype=float)
+    two_phi = 2.0 * phis
     worst = float(np.max(np.abs(values - (a + b * np.cos(two_phi) + c * np.sin(two_phi)))))
     scale = float(np.max(np.abs(values)))
     if not worst <= HARMONIC_RTOL * scale:   # written so that a NaN fails

@@ -21,14 +21,18 @@ from mzqfi import (
     eigensystem_2x2,
     expectation,
     hop_operator,
+    loss_sensitivity_report,
     lossless_moments,
     lowering_power,
     probe_state,
     qfi_lossless,
     qfi_lossless_max_in_n,
     qfi_lossy,
+    qfi_lossy_max,
+    qfi_lossy_parts,
     total_photon_number,
 )
+from mzqfi.analytic import lossless_curve, lossy_curve, qfi_lossy_even
 from mzqfi.oracle import schwinger_matrices
 
 OMEGA_67 = 6.0 * math.pi / 7.0
@@ -123,6 +127,44 @@ def test_lossy_zero_limits():
     # +0.0, not -0.0, which would be written as -0 into a CSV
     for value in (qfi_lossy(0.5, 0.2, 1.0, 0.0), qfi_lossy(0.0, 0.2, 1.0, 0.7)):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_a_curve_over_an_array_has_the_bits_of_its_float_calls():
+    # sin^2 is sin * sin in both forms: libm's pow, which Python's x ** 2
+    # calls, rounds differently from NumPy's square on about one sine in a
+    # thousand, and that moves the lossless F in its last bit at some of
+    # these phases.  F > 0 here, so equal values are equal bits.
+    phis = np.random.default_rng(2405).uniform(-math.pi / 2.0, math.pi / 2.0, 100_000)
+    for curve in (lossless_curve(0.8, 2.0), lossless_curve(0.5, 1.0),
+                  lossy_curve(0.8, 2.0, 0.6)):
+        assert curve(phis).tolist() == [curve(phi) for phi in phis.tolist()]
+
+
+@pytest.mark.parametrize("alpha", [1e78, 1e100, 1e150])
+def test_an_overflowing_closed_form_is_domain_error(alpha):
+    # the closed forms grow as (T alpha^2)^2 and overflow far below the
+    # alpha that check_alpha accepts (alpha^2 finite); each used to return
+    # nan or inf, or raise OverflowError (qfi_lossy_parts)
+    for call in (lambda: qfi_lossless(alpha, 0.3, 1.0),
+                 lambda: qfi_lossy(alpha, 0.3, 1.0, 0.5),
+                 lambda: qfi_lossy_max(alpha, 1.0, 0.5),
+                 lambda: qfi_lossy_parts(alpha, 0.3, 1.0, 0.5),
+                 lambda: qfi_lossy_even(alpha, 0.3, 0.5),
+                 lambda: qfi_lossless_max_in_n(alpha, 1.0),
+                 lambda: loss_sensitivity_report(alpha)):
+        with pytest.raises(DomainError, match="the closed form overflows"):
+            call()
+    with pytest.raises(DomainError, match="the closed form overflows"):
+        total_photon_number(1.3e154, 1.0)
+
+
+def test_a_finite_closed_form_is_kept_at_large_alpha():
+    # below the overflow the values stand: lossless up to alpha ~ 5.8e76,
+    # and under strong loss F = 2 T alpha^2 far beyond it
+    assert qfi_lossless(5e76, 0.3, 1.0) == pytest.approx(4.0 * 5e76**4 * math.cos(0.3)**2,
+                                                         rel=1e-14)
+    ta2 = 1e-100 * 1e100 * 1e100
+    assert qfi_lossy(1e100, 0.3, 1.0, 1e-100) == 2.0 * ta2
 
 
 def test_lossy_even_superposition_special_case(assert_invariant):

@@ -189,6 +189,17 @@ def test_eval_rejects_a_bad_n_max_whatever_the_method(capsys, method):
     assert "n_max must be a non-negative integer" in captured.err
 
 
+@pytest.mark.parametrize("command", [["eval", "--phi", "0.3"], ["scan"]])
+def test_an_overflowing_closed_form_exits_2(capsys, command):
+    # it printed F_analytic = nan and exited 0 (eval), or reported a
+    # harmonic mismatch "by nan" (scan)
+    assert main([*command, "--alpha", "1e100", "--omega", "1", "--T", "0.5",
+                 "--method", "analytic"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mzqfi: error: the closed form overflows at alpha=1e+100" in captured.err
+
+
 def test_figure_rejects_a_bad_n_max_for_the_phase_scan_panel(capsys):
     assert main(["figure", "fig1c", "--n-max", "-5"]) == 2
     assert "n_max must be a non-negative integer" in capsys.readouterr().err

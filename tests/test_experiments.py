@@ -123,6 +123,12 @@ def test_bad_alpha_is_domain_error(alpha):
             call()
 
 
+def test_an_overflowing_photon_number_square_is_domain_error():
+    # under strong loss F = 2 T alpha^2 stays finite, but N^2 does not
+    with pytest.raises(DomainError, match="N\\^2 overflows"):
+        evaluate_point(1e100, 0.3, 1.0, 1e-100, method="analytic")
+
+
 def test_evaluate_point_column_presence():
     both = evaluate_point(0.3, 0.1, 1.0, 0.8, method="both", n_max=16)
     assert both.F_analytic is not None and both.F_numeric is not None
@@ -219,6 +225,41 @@ def test_scan_records_equal_evaluate_point(alpha, omega, T, method, phi_grid):
     for phi, rec in zip(grid, scan.records):
         assert _bits(rec) == _bits(evaluate_point(alpha, phi, omega, T, method=method,
                                                   n_max=12))
+
+
+def _column_cases():
+    """(alpha, omega, T, phi_grid) of closed-form columns: the domain's edges
+    on the default grid, then seeded draws on the default grid and on
+    sorted random grids.  T = 1 is the lossless curve, T < 1 the lossy one;
+    alpha reaches 5e76, just below where the lossless curve overflows."""
+    top = 5e76
+    odd = math.nextafter(math.pi, 0.0)
+    cases = [(alpha, omega, T, None)
+             for alpha in (0.0, 0.3, 4.0, top)
+             for omega in (0.0, 2.0, odd, math.pi)
+             for T in (0.0, 0.5, 1.0)
+             if alpha > 0.0 or omega < odd]   # the cat at alpha 0 is even
+    rng = np.random.default_rng(2404)
+    for draw in range(64):
+        alpha = float(10.0 ** rng.uniform(-2.0, 76.0) if draw % 2 else rng.uniform(0.0, 10.0))
+        omega = float(rng.uniform(0.0, math.pi))
+        T = 1.0 if draw % 4 == 0 else float(rng.uniform(0.0, 1.0))
+        grid = None
+        if draw % 8:
+            size = int(rng.integers(2, 40))
+            grid = tuple(np.sort(rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)).tolist())
+        cases.append((alpha, omega, T, grid))
+    return cases
+
+
+def test_closed_form_columns_equal_their_points():
+    # a scan evaluates a closed-form column as one array expression; every
+    # record must have the bits of the single point, which takes math's floats
+    for alpha, omega, T, phi_grid in _column_cases():
+        scan = scan_phi(alpha, omega, T, phi_grid=phi_grid)
+        grid = default_phi_grid() if phi_grid is None else phi_grid
+        assert [_bits(rec) for rec in scan.records] == [
+            _bits(evaluate_point(alpha, phi, omega, T, method="analytic")) for phi in grid]
 
 
 @pytest.mark.parametrize("phi_grid",

@@ -37,6 +37,24 @@ _OWN_TESTS = {
 }
 
 
+# The deviations of the entries that call no Fock-route code, bit for bit:
+# the closed forms and the analytic scans are deterministic, so a change to
+# any of them moves a value here.  The numeric entries keep their
+# tolerances only.  A change that moves one on purpose updates it and
+# records the old and new value.
+_CLOSED_FORM_DEVIATIONS = {
+    "assembly_identity": 5.753103652345937e-15,
+    "assembly_identity_bulk": 6.819046771414719e-15,
+    "max_regrouping": 1.9737294210858187e-16,
+    "even_special_case": 3.8551028195382064e-16,
+    "even_special_case_bulk": 3.600394310106196e-16,
+    "reduced_density_identities": 1.1102230246251565e-16,
+    "pmc_quick": 1.7183779499204025e-15,
+    "lossless_pmc_grid": 6.458290232726024e-15,
+    "fig1c_pmc": 1.97802821840867e-14,
+}
+
+
 def _registry_params():
     for check in CHECKS:
         if check.name in _OWN_TESTS:
@@ -51,6 +69,14 @@ def test_invariant(check):
     result = check.judge(check.fn())
     assert result.passed, result.detail
     assert time.perf_counter() - start < _TIME_BOUND_S.get(check.name, math.inf)
+
+
+@pytest.mark.parametrize("name", _CLOSED_FORM_DEVIATIONS)
+def test_closed_form_deviations_are_pinned(name):
+    (check,) = [c for c in CHECKS if c.name == name]
+    deviation = check.fn()
+    assert type(deviation) is float
+    assert deviation.hex() == _CLOSED_FORM_DEVIATIONS[name].hex()
 
 
 def test_registry_is_well_formed(monkeypatch):
