@@ -77,6 +77,7 @@ def lossless_moments(alpha: float, phi: float, omega: float) -> LosslessMoments:
     n2 = params.n_alpha_sq
     n_b = 2.0 * n2 * a2 * (1.0 - E * math.cos(omega))
     jy = 2.0 * a2 * n2 * E * math.sin(phi) * math.sin(omega)
+    _check_finite((n_b, jy), alpha, 1.0)
     return LosslessMoments(
         n_a=a2,
         n_b=n_b,
@@ -475,7 +476,9 @@ def branch_jz_moments(alpha: float, phi: float, transmission: float) -> BranchMo
     check_alpha(alpha)
     check_phi(phi)
     check_transmission(transmission)
-    return _branch_jz_moments(transmission * alpha * alpha, phi)
+    moments = _branch_jz_moments(transmission * alpha * alpha, phi)
+    _check_finite((moments.jz2_aa, moments.jz2_ab), alpha, transmission)   # the ~ T^2 alpha^4 ones
+    return moments
 
 
 def _branch_jz_moments(ta2: float, phi: float) -> BranchMoments:

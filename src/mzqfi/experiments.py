@@ -27,10 +27,10 @@ from .analytic import (
     total_photon_number,
 )
 from .channels import check_transmission
-from .errors import DomainError, HarmonicMismatch
+from .errors import DomainError, HarmonicMismatch, MzqfiError
 from .fock import EPS_TAIL, FockCutoff, check_alpha, check_phi
 from .qfi import EPS_RANK
-from .simulate import probe_cutoff, qfi_numeric
+from .simulate import probe_cutoff, qfi_numeric, qfi_numeric_column
 
 NUMERIC_ALPHA_MAX = 1.5        # figure panels run the numeric route only up to here
 PHI_POINTS = 201
@@ -196,14 +196,16 @@ class _PointEvaluator:
         numeric value when that is the only route."""
         return self.numeric(phi).value if self.curve is None else self.curve(phi)
 
-    def column(self, phis, values) -> list[SweepRecord]:
+    def column(self, phis, values, results) -> list[SweepRecord]:
         """The records at each phi of phis, in order.
 
         values is None, or the array of closed-form values at phis that a
         closed-form scan takes from one array expression of its curve:
         then the records are built in one comprehension, with the bits of
         one curve call per phase.  Otherwise each phase calls the curve on
-        a float, as a single point does, and then the numeric route.
+        a float, as a single point does, and then the numeric route: the
+        QfiResult at each phi of results (run_grid's transmission columns,
+        with the bits of qfi_numeric), or qfi_numeric when results is None.
         """
         alpha, omega, T, curve = self.alpha, self.omega, self.T, self.curve
         run_numeric, n_total, n_sq = self.run_numeric, self.n_total, self.n_sq
@@ -211,11 +213,11 @@ class _PointEvaluator:
             return [SweepRecord(alpha, phi, omega, T, f, None, None, None, n_total, n_sq)
                     for phi, f in zip(phis, values.tolist())]
         records = []
-        for phi in phis:
+        for i, phi in enumerate(phis):
             f_analytic = None if curve is None else curve(phi)
             f_numeric = tail = abs_err = None
             if run_numeric:
-                res = self.numeric(phi)
+                res = self.numeric(phi) if results is None else results[i]
                 f_numeric, tail = res.value, res.tail_mass
                 if f_analytic is not None:
                     abs_err = abs(f_analytic - f_numeric)
@@ -225,7 +227,7 @@ class _PointEvaluator:
 
     def __call__(self, phi: float) -> SweepRecord:
         check_phi(phi)
-        return self.column((phi,), None)[0]
+        return self.column((phi,), None, None)[0]
 
 
 def evaluate_point(
@@ -255,12 +257,39 @@ def resolve_jobs(jobs: int | None) -> int:
     return max(1, jobs)
 
 
+def _grid_block(grid: SweepGrid, alpha: float, omega: float) -> list[SweepRecord]:
+    """The records of grid at (alpha, omega), in grid order (T, then phi).
+
+    The numeric route solves each phi column of transmissions at once
+    (qfi_numeric_column), with the bits of evaluate_point at each point.
+    If a column raises, the block is evaluated point by point, so the grid
+    raises what its first failing point raises.
+    """
+    columns = None
+    if grid.method != "analytic":
+        try:
+            cutoff = probe_cutoff(alpha) if grid.n_max is None else FockCutoff(grid.n_max)
+            columns = [qfi_numeric_column(alpha, phi, omega, grid.T_grid, cutoff)
+                       for phi in grid.phi_grid]
+        except MzqfiError:
+            pass   # each point then raises, or not, as evaluate_point does
+    records = []
+    for i, T in enumerate(grid.T_grid):
+        point = _PointEvaluator(alpha, omega, T, grid.method, grid.n_max)
+        records += point.column(grid.phi_grid, None,
+                                None if columns is None else [c[i] for c in columns])
+    return records
+
+
 def run_grid(grid: SweepGrid, jobs: int | None = None) -> list[SweepRecord]:
+    """Every point of grid, in grid order.  Serially, each (alpha, omega,
+    phi) takes its lossy transmissions as one column; the process pool
+    (jobs > 1) evaluates point by point."""
     points = grid.points()
     jobs = resolve_jobs(jobs)
     if jobs == 1 or len(points) < 4:
-        return [evaluate_point(*p, method=grid.method, n_max=grid.n_max)
-                for p in points]
+        return [record for alpha in grid.alpha_values for omega in grid.omega_grid
+                for record in _grid_block(grid, alpha, omega)]
     # imported here: the process-pool machinery adds ~1.4 MB of RSS
     # (CPython 3.11) to every process that imports mzqfi, and only this
     # branch uses it
@@ -342,12 +371,12 @@ def scan_phi(
         _check_phi_window(phis)
     point = _PointEvaluator(alpha, omega, T, method, n_max)
     if point.run_numeric:
-        records = tuple(point.column(phi_grid, None))
+        records = tuple(point.column(phi_grid, None, None))
         values = np.array([r.F_numeric if point.curve is None else r.F_analytic
                            for r in records])
     else:
         values = point.curve(phis)
-        records = tuple(point.column(phi_grid, values))
+        records = tuple(point.column(phi_grid, values, None))
     f = point.value
     a, b, c = phi_harmonic(f)
     two_phi = 2.0 * phis
@@ -503,6 +532,9 @@ def loss_sensitivity_report(alpha: float) -> LossSensitivityReport:
         rows.append(LossSensitivityRow(T, f_m, n_total, n_total * n_total,
                                        f_m > n_total * n_total))
     f_ref = qfi_lossless(alpha, 0.0, 0.0)
+    if f_ref == 0.0:
+        raise DomainError(f"F_m(T=0.9) / F_m(T=1) is undefined at alpha={alpha!r}: "
+                          "the lossless optimum is 0")
     f_09 = qfi_lossy_max(alpha, 0.0, 0.9)
     return LossSensitivityReport(alpha, tuple(rows), f_09 / f_ref)
 

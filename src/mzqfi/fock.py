@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,9 +98,9 @@ class FockBasis:
         return _read_only(np.array([blk.start for blk in self.block_slices]))
 
     def block_norms(self, vecs: np.ndarray) -> np.ndarray:
-        """[i, N]: the squared norm of the complex row vecs[i] on block N."""
+        """[..., i, N]: the squared norm of the complex row vecs[..., i] on block N."""
         flat = vecs.view(float)   # real and imaginary parts side by side
-        return np.add.reduceat(flat * flat, 2 * self.block_starts, axis=1)
+        return np.add.reduceat(flat * flat, 2 * self.block_starts, axis=-1)
 
     @cached_property
     def _lookup_table(self) -> np.ndarray:
@@ -174,14 +175,14 @@ class SchwingerOps:
         return _read_only(np.sqrt((occ[:, 1] * (occ[:, 0] + 1)).astype(float)))
 
     def jy_shift(self, vecs: np.ndarray) -> np.ndarray:
-        """(a^dag b - b^dag a) @ vecs = 2i J_y @ vecs, on the first axis of a
-        vector or a column stack: a^dag b moves each state one index back
+        """2i J_y = a^dag b - b^dag a applied to a vector, or to each row of
+        a stack (on the last axis): a^dag b moves each state one index back
         inside its total-number block, where the basis order puts |n_A + 1,
         n_B - 1> just before |n_A, n_B>."""
-        w = self.hop_weights[1:].reshape((-1,) + (1,) * (vecs.ndim - 1))
+        w = self.hop_weights[1:]
         out = np.zeros(vecs.shape, dtype=complex)
-        out[:-1] = w * vecs[1:]        # a^dag b
-        out[1:] -= w * vecs[:-1]       # b^dag a = (a^dag b)^dag
+        out[..., :-1] = w * vecs[..., 1:]        # a^dag b
+        out[..., 1:] -= w * vecs[..., :-1]       # b^dag a = (a^dag b)^dag
         return out
 
 
@@ -401,6 +402,43 @@ class DensityMatrix:
         tr = self.trace()
         if abs(tr - 1.0) > STATE_TOL:
             raise NotDensityMatrix(f"trace {tr} differs from 1 by more than {STATE_TOL}")
+
+
+def trusted_density(refs: np.ndarray, cutoff: FockCutoff, tail_mass: float, rows: tuple,
+                    block_sq: np.ndarray, row_mass: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix whose rows fit its references by construction (a
+    Kraus fan-out), with its block norms and row traces; the checks of
+    DensityMatrix are not run again."""
+    rho = object.__new__(DensityMatrix)
+    vars(rho).update(refs=_read_only(refs), cutoff=cutoff, tail_mass=tail_mass,
+                     rows=tuple(map(_read_only, rows)), block_sq=block_sq, row_mass=row_mass)
+    return rho
+
+
+class DensityStack(NamedTuple):
+    """Densities of one cutoff that share their row structure, on a leading
+    axis: density t is rho_t = sum_r w[t, r] |M_{N_r} refs[t, i_r]><...|, with
+    `rows` = (i, N, w) and i, N common to every density.  It has the
+    attributes of a DensityMatrix, each with the leading axis where it
+    varies, so `qfi` solves either with one code; `density(t)` is density
+    t alone.  `channels.loss_column` builds one per column of transmissions.
+    """
+
+    refs: np.ndarray       # [t, i, basis index]
+    block_sq: np.ndarray   # [t, i, N]
+    rows: tuple            # (reference [r], last block [r], weight [t, r])
+    row_mass: np.ndarray   # [t, r]
+    cutoff: FockCutoff
+    tail_mass: float
+
+    @property
+    def basis(self) -> FockBasis:
+        return two_mode_basis(self.cutoff)
+
+    def density(self, t: int) -> DensityMatrix:
+        ref, last, weight = self.rows
+        return trusted_density(self.refs[t], self.cutoff, self.tail_mass,
+                               (ref, last, weight[t]), self.block_sq[t], self.row_mass[t])
 
 
 def pure_density(state: TwoModeState) -> DensityMatrix:

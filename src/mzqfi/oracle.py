@@ -249,7 +249,7 @@ def dense_qfi(rho: np.ndarray, generator: np.ndarray, eps_rank: float = qfi.EPS_
         )
     dec = qfi.spectral_decomposition(mat)
     v = dec.eigenvectors
-    value = qfi.pair_sum(dec.eigenvalues, qfi.abs2(v.conj().T @ gen @ v), eps_rank)
+    value = float(qfi.pair_sum(dec.eigenvalues, qfi.abs2(v.conj().T @ gen @ v), eps_rank))
     return qfi.QfiResult(value, "spectral", rank=dec.rank(eps_rank))
 
 

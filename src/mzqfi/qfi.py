@@ -16,7 +16,9 @@ J_y is applied as two index shifts (`SchwingerOps.jy_shift`), never as a
 matrix.  A `DensityMatrix`, rows that are weighted block prefixes of a few
 reference vectors, is solved on the span of its references (one QR), the
 pairs reaching outside it summed in closed form; its rows are formed only
-if that span leaves weight out.  The full eigensolve of a dense array,
+if that span leaves weight out.  A `DensityStack`, the densities of one
+input at a column of transmissions, goes through the same code with its
+density axis leading, each density with the bits it gets alone.  The full eigensolve of a dense array,
 `spectral_decomposition`, serves only the dense oracle of this route,
 `mzqfi.oracle.dense_qfi`, which shares `pair_sum`; the fidelity
 cross-checks are oracles too.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotDensityMatrix
-from .fock import DensityMatrix, TwoModeState, schwinger_ops
+from .fock import DensityMatrix, DensityStack, TwoModeState, schwinger_ops
 
 EPS_RANK = 1e-12     # pair weight below this is treated as rank deficient
 EIG_FLOOR = -1e-8    # density eigenvalues below this mean the matrix is not a state
@@ -92,20 +94,36 @@ def qfi_pure(state: TwoModeState) -> QfiResult:
     return QfiResult(4.0 * (second - mean * mean), "pure", tail_mass=state.tail_mass, rank=1)
 
 
-def pair_sum(p: np.ndarray, g_abs2: np.ndarray, eps_rank: float) -> float:
-    """2 sum (p_i - p_j)^2 / (p_i + p_j) |G_ij|^2 over pairs with p_i + p_j > eps_rank."""
-    s = p[:, None] + p
-    d = p[:, None] - p
-    return 2.0 * float((d * d / np.where(s > eps_rank, s, np.inf) * g_abs2).sum())
+def pair_sum(p: np.ndarray, g_abs2: np.ndarray, eps_rank: float) -> np.ndarray:
+    """2 sum (p_i - p_j)^2 / (p_i + p_j) |G_ij|^2 over pairs with p_i + p_j > eps_rank,
+    over the last axes (leading axes are a stack of densities)."""
+    s = p[..., :, None] + p[..., None, :]
+    d = p[..., :, None] - p[..., None, :]
+    return 2.0 * (d * d / np.where(s > eps_rank, s, np.inf) * g_abs2).sum(axis=(-2, -1))
 
 
 def abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _ritz_pairs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rayleigh-Ritz pairs of rho on the span of its references, and a
-    bound on the trace of rho outside that span.
+def _heaviest_first(rho: DensityMatrix | DensityStack) -> np.ndarray:
+    """The references of rho (of each density of a stack) in decreasing
+    order of the trace their rows carry, ties in reference order."""
+    refs, ref = rho.refs, rho.rows[0]
+    count = refs.shape[-2]
+    if refs.ndim == 2:
+        return refs[np.argsort(-np.bincount(ref, rho.row_mass, minlength=count), kind="stable")]
+    keys = (ref + count * np.arange(len(refs))[:, None]).ravel()
+    carried = np.bincount(keys, rho.row_mass.ravel(), minlength=count * len(refs))
+    order = np.argsort(-carried.reshape(-1, count), axis=1, kind="stable")
+    return np.take_along_axis(refs, order[:, :, None], axis=1)
+
+
+def _ritz_pairs(rho: DensityMatrix | DensityStack) -> tuple[np.ndarray, ...]:
+    """Rayleigh-Ritz pairs of rho on the span of its references (the
+    vectors as rows), a bound on the trace of rho outside that span, and
+    whether rho is to be solved again on its formed rows; each on the
+    leading axis of a stack.
 
     Row r of rho is b_r = sqrt(w_r) M_{N_r} ref (see DensityMatrix).  One QR
     spans every reference, heaviest first by the trace its rows carry, since
@@ -115,26 +133,44 @@ def _ritz_pairs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, float]:
     block N, a sum of block norms from the last one down, which does not
     cancel.  The coordinates Q^dag b_r are block-cumulative overlaps of each
     reference with Q.  If the bound exceeds RITZ_TOL and a row is cut short
-    of n_max, rho is solved once more as the plain stack of its formed rows,
-    whose span holds every row.
+    of n_max, rho is to be solved once more as the plain stack of its formed
+    rows, whose span holds every row.
+
+    A stack goes through each call on its leading axis, whose slices get the
+    bits of the same call on one density: so a density's pairs do not depend
+    on the stack it is solved in.
     """
     refs, (row_ref, row_last, row_weight) = rho.refs, rho.rows
     tail_sq = np.zeros_like(rho.block_sq)   # blocks after N, summed from the last
-    tail_sq[:, :-1] = rho.block_sq[:, :0:-1].cumsum(axis=1)[:, ::-1]
-    carried = np.bincount(row_ref, rho.row_mass, minlength=len(refs))
-    q, _ = np.linalg.qr(refs[np.argsort(-carried, kind="stable")].T)
+    tail_sq[..., :-1] = rho.block_sq[..., :0:-1].cumsum(axis=-1)[..., ::-1]
+    q, _ = np.linalg.qr(_heaviest_first(rho).swapaxes(-1, -2))
     whole = refs @ q.conj()   # Q^dag ref
-    outside = (refs - whole @ q.T).view(float)
-    gap = np.sqrt(np.einsum("ij,ij->i", outside, outside))
-    discarded = float(row_weight @ (gap[row_ref] + np.sqrt(tail_sq[row_ref, row_last])) ** 2)
+    outside = (refs - whole @ q.swapaxes(-1, -2)).view(float)
+    gap = np.sqrt(np.einsum("...ij,...ij->...i", outside, outside))
+    bound = (gap[..., row_ref] + np.sqrt(tail_sq[..., row_ref, row_last])) ** 2
+    discarded = np.vecdot(row_weight, bound)
     cut = row_last.min() < rho.cutoff.n_max
-    if discarded > RITZ_TOL and cut:
-        return _ritz_pairs(DensityMatrix(rho.branches, rho.cutoff, rho.tail_mass))
     # Q^dag b_r / sqrt(w_r): the overlaps summed by block, up to each row's last
-    c = (np.add.reduceat(refs[:, :, None] * q.conj(), rho.basis.block_starts, axis=1)
-         .cumsum(axis=1)[row_ref, row_last] if cut else whole[row_ref])
-    p, u = np.linalg.eigh((c.T * row_weight) @ c.conj())
-    return np.maximum(p[::-1], 0.0), q @ u[:, ::-1], discarded
+    c = (np.add.reduceat(refs[..., None] * q.conj()[..., None, :, :], rho.basis.block_starts,
+                         axis=-2).cumsum(axis=-2)[..., row_ref, row_last, :]
+         if cut else whole[..., row_ref, :])
+    p, u = np.linalg.eigh((c.swapaxes(-1, -2) * row_weight[..., None, :]) @ c.conj())
+    vecs = u[..., ::-1].swapaxes(-1, -2) @ q.swapaxes(-1, -2)   # the Ritz vectors as rows
+    return np.maximum(p[..., ::-1], 0.0), vecs, discarded, cut & (discarded > RITZ_TOL)
+
+
+def _spectral_sum(rho: DensityMatrix | DensityStack, eps_rank: float) -> tuple[np.ndarray, ...]:
+    """The QFI of rho on the span of its references, which Ritz values are
+    kept (its rank), the Ritz bound and whether rho is to be solved again on
+    its formed rows; each on the leading axis of a stack."""
+    p, w, discarded, refit = _ritz_pairs(rho)
+    hw = schwinger_ops(rho.cutoff).jy_shift(w)
+    h_abs2 = abs2(w.conj() @ hw.swapaxes(-1, -2))
+    complement = np.einsum("...ij,...ij->...i", hw.conj(), hw).real - h_abs2.sum(axis=-1)
+    kept = p > eps_rank
+    value = 0.25 * (pair_sum(p, h_abs2, eps_rank)
+                    + 4.0 * np.vecdot(np.where(kept, p, 0.0), complement))
+    return value, kept, discarded, refit
 
 
 def qfi_mixed(rho: DensityMatrix, eps_rank: float = EPS_RANK) -> QfiResult:
@@ -147,11 +183,27 @@ def qfi_mixed(rho: DensityMatrix, eps_rank: float = EPS_RANK) -> QfiResult:
     H = 2i J_y and take |1/(2i)|^2 = 1/4 once, at the end.
     """
     check_eps_rank(eps_rank)
-    p, w, discarded = _ritz_pairs(rho)
-    hw = schwinger_ops(rho.cutoff).jy_shift(w)
-    h_abs2 = abs2(w.conj().T @ hw)
-    complement = np.einsum("ij,ij->j", hw.conj(), hw).real - h_abs2.sum(axis=1)
-    kept = p > eps_rank
-    value = 0.25 * (pair_sum(p, h_abs2, eps_rank) + 4.0 * float(p[kept] @ complement[kept]))
-    return QfiResult(value, "spectral", tail_mass=rho.tail_mass,
-                     rank=int(np.count_nonzero(kept)), discarded_weight=discarded)
+    value, kept, discarded, refit = _spectral_sum(rho, eps_rank)
+    if refit:
+        return qfi_mixed(DensityMatrix(rho.branches, rho.cutoff, rho.tail_mass), eps_rank)
+    return QfiResult(float(value), "spectral", tail_mass=rho.tail_mass,
+                     rank=int(np.count_nonzero(kept)), discarded_weight=float(discarded))
+
+
+def qfi_column(stack: DensityStack, eps_rank: float) -> list[QfiResult]:
+    """`qfi_mixed` of each density of the stack, with its bits: one QR and
+    one eigensolve for the whole stack, and a density whose references do
+    not certify solved again alone, on its formed rows."""
+    check_eps_rank(eps_rank)
+    value, kept, discarded, refit = _spectral_sum(stack, eps_rank)
+    results = []
+    for t, (f, rank, bound, again) in enumerate(zip(
+            value.tolist(), np.count_nonzero(kept, axis=1).tolist(), discarded.tolist(),
+            refit.tolist())):
+        if again:
+            formed = DensityMatrix(stack.density(t).branches, stack.cutoff, stack.tail_mass)
+            results.append(qfi_mixed(formed, eps_rank))
+        else:
+            results.append(QfiResult(f, "spectral", tail_mass=stack.tail_mass, rank=rank,
+                                     discarded_weight=bound))
+    return results

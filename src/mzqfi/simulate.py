@@ -9,13 +9,15 @@ J_y, as on the lossless route.  There every branch of one Kraus group
 block prefix of one of two reference vectors, the attenuated even and odd
 branches, so each group is one weighted prefix.  Neither the density nor
 its rows are formed: its QFI is solved on the span of the two references.
-No splitter and no dense two-mode operator is built.
+No splitter and no dense two-mode operator is built.  `qfi_numeric_column`
+solves the lossy points of one input at several transmissions together,
+with the bits `qfi_numeric` gives each alone.
 """
 from __future__ import annotations
 
 import math
 
-from .channels import loss_fan_out
+from .channels import loss_column, loss_fan_out
 from .errors import DomainError
 from .fock import (
     EPS_TAIL,
@@ -26,7 +28,7 @@ from .fock import (
     check_affordable,
     input_state,
 )
-from .qfi import EPS_RANK, QfiResult, check_eps_rank, qfi_mixed, qfi_pure
+from .qfi import EPS_RANK, QfiResult, check_eps_rank, qfi_column, qfi_mixed, qfi_pure
 
 
 def probe_cutoff(alpha: float) -> FockCutoff:
@@ -90,3 +92,21 @@ def qfi_numeric(
         return qfi_pure(probe_state(alpha, phi, omega, cutoff, tol_tail))
     rho = lossy_probe_density(alpha, phi, omega, transmission, cutoff, tol_tail)
     return qfi_mixed(rho, eps_rank=eps_rank)
+
+
+def qfi_numeric_column(
+    alpha: float,
+    phi: float,
+    omega: float,
+    transmissions,
+    cutoff: FockCutoff,
+) -> list[QfiResult]:
+    """qfi_numeric at each transmission of `transmissions`, bit for bit,
+    from one probe state: T = 1 by qfi_pure, the lossy ones by one
+    `loss_column` and one `qfi_column`.  tol_tail and eps_rank are the
+    defaults."""
+    state = probe_state(alpha, phi, omega, cutoff)
+    lossy = [T for T in transmissions if T != 1.0]
+    mixed = iter(qfi_column(loss_column(state, lossy), EPS_RANK) if lossy else ())
+    pure = qfi_pure(state) if len(lossy) < len(transmissions) else None
+    return [pure if T == 1.0 else next(mixed) for T in transmissions]

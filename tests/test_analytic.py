@@ -151,11 +151,14 @@ def test_an_overflowing_closed_form_is_domain_error(alpha):
                  lambda: qfi_lossy_parts(alpha, 0.3, 1.0, 0.5),
                  lambda: qfi_lossy_even(alpha, 0.3, 0.5),
                  lambda: qfi_lossless_max_in_n(alpha, 1.0),
-                 lambda: loss_sensitivity_report(alpha)):
+                 lambda: loss_sensitivity_report(alpha),
+                 lambda: branch_jz_moments(alpha, 0.3, 0.5)):
         with pytest.raises(DomainError, match="the closed form overflows"):
             call()
     with pytest.raises(DomainError, match="the closed form overflows"):
         total_photon_number(1.3e154, 1.0)
+    with pytest.raises(DomainError, match="the closed form overflows"):
+        lossless_moments(1.3e154, 0.3, 1.0)
 
 
 def test_a_finite_closed_form_is_kept_at_large_alpha():

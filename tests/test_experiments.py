@@ -16,6 +16,7 @@ import pytest
 from mzqfi import (
     CSV_COLUMNS,
     DomainError,
+    FockCutoff,
     HarmonicMismatch,
     SweepGrid,
     analytic,
@@ -34,6 +35,8 @@ from mzqfi import (
     qfi_lossy,
     qfi_lossy_max,
     qfi_lossy_parts,
+    lossy_probe_density,
+    qfi,
     qfi_numeric,
     read_records,
     resolve_jobs,
@@ -159,12 +162,34 @@ def test_bad_n_max_is_domain_error_whatever_the_method(method):
         scan_phi(0.3, 1.0, 0.5, method=method, n_max=-7)
 
 
-def test_run_grid_parallel_matches_serial():
+@pytest.mark.parametrize("method", ["analytic", "both"])
+def test_run_grid_parallel_matches_serial(method):
+    # the pool's workers evaluate point by point; serially a T column is
+    # solved at once, with the same bits
     grid = SweepGrid(alpha_values=(0.3,), phi_grid=(0.0, 0.3),
-                     omega_grid=(1.0,), T_grid=(0.5, 1.0), method="analytic")
+                     omega_grid=(1.0,), T_grid=(0.5, 1.0), n_max=20, method=method)
     serial = run_grid(grid, jobs=1)
     parallel = run_grid(grid, jobs=2)
-    assert serial == parallel
+    assert [_bits(rec) for rec in serial] == [_bits(rec) for rec in parallel]
+
+
+def test_run_grid_columns_have_the_bits_of_their_points():
+    # every (alpha, omega, phi) of the grid is one column of transmissions,
+    # solved at once; at alpha 0.8 and n_max 20 the references of T 0.3 and
+    # 0.7 leave weight out and are solved again on their formed rows, those
+    # of T = 1 - 1e-9 certify, and T = 1 is pure
+    rng = np.random.default_rng(2503)
+    T_grid = (0.3, 0.7, 1.0 - 1e-9, 1.0)
+    refit = [qfi._ritz_pairs(lossy_probe_density(0.8, 0.3, 1.0, T, FockCutoff(20)))[3]
+             for T in T_grid[:3]]
+    assert refit == [True, True, False]
+    grid = SweepGrid(alpha_values=(0.3, 0.8),
+                     phi_grid=tuple(np.sort(rng.uniform(-math.pi / 2.0, math.pi / 2.0, 3))),
+                     omega_grid=tuple(np.sort(rng.uniform(0.0, math.pi, 2))),
+                     T_grid=T_grid, n_max=20, method="both")
+    records = run_grid(grid, jobs=1)
+    assert [_bits(rec) for rec in records] == [
+        _bits(evaluate_point(*p, method="both", n_max=20)) for p in grid.points()]
 
 
 def test_resolve_jobs_env_fallback(monkeypatch):
@@ -347,6 +372,12 @@ def test_compare_numeric_analytic_report():
     assert report.compared == 4
     assert report.worst is not None
     assert report.max_abs_err < 1e-8
+
+
+def test_loss_sensitivity_report_at_zero_alpha_is_domain_error():
+    # F_m(T=1) is 0 at alpha = 0, so the small-loss ratio has no value
+    with pytest.raises(DomainError, match="alpha=0.0"):
+        loss_sensitivity_report(0.0)
 
 
 def test_loss_sensitivity_report_bright_probe():

@@ -202,6 +202,18 @@ def test_fock_route_never_imports_the_oracle():
         assert "oracle" not in reached, f"mzqfi.{start} imports mzqfi.oracle"
 
 
+def test_fock_route_never_forms_the_dense_density():
+    # DensityMatrix.matrix forms the dense rho, which no production step
+    # needs: only fock, which defines it, may name it outside the oracles
+    for module in _FOCK_ROUTE:
+        if module == "fock":
+            continue
+        tree = ast.parse((_SRC / f"{module}.py").read_text())
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+        assert not reads, f"mzqfi.{module} reads .matrix on lines {reads}"
+
+
 def test_tight_cutoff_keeps_a_small_stack():
     # n_max 20 is near the tail limit at alpha = 1.2: the truncation breaks
     # the rank-2 structure, so the Ritz span grows to the full stack, and
