@@ -27,7 +27,7 @@ from .analytic import (
     total_photon_number,
 )
 from .channels import check_transmission
-from .errors import DomainError, HarmonicMismatch, MzqfiError
+from .errors import DomainError, HarmonicMismatch
 from .fock import EPS_TAIL, FockCutoff, check_alpha, check_phi
 from .qfi import EPS_RANK
 from .simulate import probe_cutoff, qfi_numeric, qfi_numeric_column
@@ -262,8 +262,8 @@ def _grid_block(grid: SweepGrid, alpha: float, omega: float) -> list[SweepRecord
 
     The numeric route solves each phi column of transmissions at once
     (qfi_numeric_column), with the bits of evaluate_point at each point.
-    If a column raises, the block is evaluated point by point, so the grid
-    raises what its first failing point raises.
+    If a column raises anything, the block is evaluated point by point, so
+    the grid raises what its first failing point raises.
     """
     columns = None
     if grid.method != "analytic":
@@ -271,7 +271,7 @@ def _grid_block(grid: SweepGrid, alpha: float, omega: float) -> list[SweepRecord
             cutoff = probe_cutoff(alpha) if grid.n_max is None else FockCutoff(grid.n_max)
             columns = [qfi_numeric_column(alpha, phi, omega, grid.T_grid, cutoff)
                        for phi in grid.phi_grid]
-        except MzqfiError:
+        except Exception:
             pass   # each point then raises, or not, as evaluate_point does
     records = []
     for i, T in enumerate(grid.T_grid):

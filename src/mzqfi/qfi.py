@@ -106,14 +106,21 @@ def abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) over the last axis, each row with the bits of its 1-D dot."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _heaviest_first(rho: DensityMatrix | DensityStack) -> np.ndarray:
     """The references of rho (of each density of a stack) in decreasing
     order of the trace their rows carry, ties in reference order."""
     refs, ref = rho.refs, rho.rows[0]
     count = refs.shape[-2]
     if refs.ndim == 2:
+        # the stack's form below gives the same bits, but its key offsets
+        # and take_along_axis cost a single point ~8 us (~3.5% at n_max 20)
         return refs[np.argsort(-np.bincount(ref, rho.row_mass, minlength=count), kind="stable")]
-    keys = (ref + count * np.arange(len(refs))[:, None]).ravel()
+    keys = (ref + count * np.arange(len(refs))[:, None]).ravel()   # one key range per density
     carried = np.bincount(keys, rho.row_mass.ravel(), minlength=count * len(refs))
     order = np.argsort(-carried.reshape(-1, count), axis=1, kind="stable")
     return np.take_along_axis(refs, order[:, :, None], axis=1)
@@ -148,7 +155,7 @@ def _ritz_pairs(rho: DensityMatrix | DensityStack) -> tuple[np.ndarray, ...]:
     outside = (refs - whole @ q.swapaxes(-1, -2)).view(float)
     gap = np.sqrt(np.einsum("...ij,...ij->...i", outside, outside))
     bound = (gap[..., row_ref] + np.sqrt(tail_sq[..., row_ref, row_last])) ** 2
-    discarded = np.vecdot(row_weight, bound)
+    discarded = _row_dot(row_weight, bound)
     cut = row_last.min() < rho.cutoff.n_max
     # Q^dag b_r / sqrt(w_r): the overlaps summed by block, up to each row's last
     c = (np.add.reduceat(refs[..., None] * q.conj()[..., None, :, :], rho.basis.block_starts,
@@ -169,7 +176,7 @@ def _spectral_sum(rho: DensityMatrix | DensityStack, eps_rank: float) -> tuple[n
     complement = np.einsum("...ij,...ij->...i", hw.conj(), hw).real - h_abs2.sum(axis=-1)
     kept = p > eps_rank
     value = 0.25 * (pair_sum(p, h_abs2, eps_rank)
-                    + 4.0 * np.vecdot(np.where(kept, p, 0.0), complement))
+                    + 4.0 * _row_dot(np.where(kept, p, 0.0), complement))
     return value, kept, discarded, refit
 
 

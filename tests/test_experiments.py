@@ -192,6 +192,19 @@ def test_run_grid_columns_have_the_bits_of_their_points():
         _bits(evaluate_point(*p, method="both", n_max=20)) for p in grid.points()]
 
 
+def test_a_failing_column_is_evaluated_point_by_point(monkeypatch):
+    # whatever a column raises, not only an MzqfiError, its block is
+    # evaluated again point by point: the grid raises only what a point does
+    def fail(*args):
+        raise np.linalg.LinAlgError("stacked solve failed")
+
+    monkeypatch.setattr(experiments, "qfi_numeric_column", fail)
+    grid = SweepGrid(alpha_values=(0.3,), phi_grid=(0.0, 0.3), omega_grid=(1.0,),
+                     T_grid=(0.5, 1.0), n_max=20, method="both")
+    assert [_bits(rec) for rec in run_grid(grid, jobs=1)] == [
+        _bits(evaluate_point(*p, method="both", n_max=20)) for p in grid.points()]
+
+
 def test_resolve_jobs_env_fallback(monkeypatch):
     monkeypatch.setenv("MZQFI_JOBS", "3")
     assert resolve_jobs(None) == 3
