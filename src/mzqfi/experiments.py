@@ -62,14 +62,14 @@ def default_omega_grid(points: int = OMEGA_POINTS) -> tuple[float, ...]:
     return tuple(i * math.pi / points for i in range(points))
 
 
-def _check_axis(name: str, axis) -> np.ndarray:
-    """axis as a float array, once it is non-empty, finite and sorted ascending."""
-    values = np.asarray(axis, dtype=float)
-    if values.size == 0:
+def _check_axis(name: str, axis) -> list[float]:
+    """axis as a list of floats, once it is non-empty, finite and sorted ascending."""
+    values = [float(v) for v in axis]
+    if not values:
         raise DomainError(f"{name} must be non-empty")
     # written with <= so that a NaN entry fails; once sorted, the two ends
     # bound every entry, so checking them rejects a lone NaN and infinities
-    if not (np.all(values[:-1] <= values[1:])
+    if not (all(a <= b for a, b in zip(values, values[1:]))
             and math.isfinite(values[0]) and math.isfinite(values[-1])):
         raise DomainError(f"{name} must be finite and sorted ascending")
     return values
@@ -356,7 +356,7 @@ def scan_phi(
 ) -> PhiScan:
     """Sweep phi, then take the optimum from the exact cos 2phi harmonic.
 
-    The grid is checked once, as an array (the default grid's is built at
+    The grid is checked once, on Python floats (the default grid's is built at
     import).  The phi-independent work is done once, and a closed-form
     column is one array expression over the grid; each grid record still
     equals evaluate_point at its phi, bit for bit.  phi_m = atan2(c, b) / 2
@@ -367,7 +367,7 @@ def scan_phi(
     if phi_grid is None:
         phi_grid, phis = _DEFAULT_PHI_GRID, _DEFAULT_PHI_ARRAY
     else:
-        phis = _check_axis("phi_grid", phi_grid)
+        phis = np.array(_check_axis("phi_grid", phi_grid))
         _check_phi_window(phis)
     point = _PointEvaluator(alpha, omega, T, method, n_max)
     if point.run_numeric:

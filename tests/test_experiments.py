@@ -92,6 +92,22 @@ def test_sweep_grid_validation():
     SweepGrid(**{**ok, "n_max": 0})
 
 
+@pytest.mark.parametrize("values, message", [
+    ((), "must be non-empty"),
+    ((0.6, 0.5), "must be finite and sorted ascending"),
+    ((0.5, math.nan), "must be finite and sorted ascending"),
+    ((0.5, math.inf), "must be finite and sorted ascending"),
+    ((-math.inf, 0.5), "must be finite and sorted ascending"),
+])
+@pytest.mark.parametrize("kind", [tuple, list, np.array])
+def test_sweep_grid_axis_errors(values, message, kind):
+    ok = dict(alpha_values=(0.3,), phi_grid=(0.0,), omega_grid=(0.0,), T_grid=(0.5,))
+    for axis in ok:
+        SweepGrid(**{**ok, axis: kind((0.1, 0.2))})
+        with pytest.raises(DomainError, match=f"^{axis} {message}$"):
+            SweepGrid(**{**ok, axis: kind(values)})
+
+
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan, 1e308])
 def test_non_finite_phi_is_domain_error(phi):
     # 2 phi overflows at 1e308, so the closed forms cannot evaluate sin 2 phi

@@ -33,8 +33,9 @@ from mzqfi import (
     two_mode_basis,
     uhlmann_fidelity,
 )
+from mzqfi.channels import loss_column
 from mzqfi.oracle import dense_qfi, loss_channel, schwinger_matrices
-from mzqfi.qfi import RITZ_TOL
+from mzqfi.qfi import RITZ_TOL, qfi_column
 
 
 def _coherent_vacuum(gamma, cutoff):
@@ -360,3 +361,43 @@ def test_a_certifying_lossy_point_takes_one_qr_and_one_eigh(monkeypatch):
     record = evaluate_point(0.3, 0.4, 1.1, 0.7, method="both", n_max=20)
     assert calls == ["qr", "eigh"]
     assert record.F_numeric == pytest.approx(record.F_analytic, rel=1e-12)
+
+
+def test_a_certifying_column_takes_one_qr_and_one_eigh(monkeypatch):
+    stack = loss_column(probe_state(0.3, 0.4, 1.1, FockCutoff(20)), [0.3, 0.5, 0.7, 0.9])
+    calls = []
+    for name in ("qr", "eigh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _solve=solve, _name=name, **k:
+                            calls.append(_name) or _solve(*a, **k))
+    results = qfi_column(stack, EPS_RANK)
+    assert calls == ["qr", "eigh"]
+    assert [r.rank for r in results] == [2, 2, 2, 2]
+
+
+def test_a_column_gives_each_transmission_its_point_result():
+    # at alpha 0.8, n_max 20 the two lossier densities fall back to their
+    # formed rows and the T = 1 - 1e-9 one certifies on its references
+    stack = loss_column(probe_state(0.8, 0.3, 1.0, FockCutoff(20)), [0.3, 0.7, 1.0 - 1e-9])
+    assert qfi._ritz_pairs(stack)[3].tolist() == [True, True, False]
+    for t, got in enumerate(qfi_column(stack, EPS_RANK)):
+        alone = qfi_mixed(stack.density(t))
+        assert (got.value, got.method, got.rank, got.discarded_weight, got.tail_mass) == (
+            alone.value, alone.method, alone.rank, alone.discarded_weight, alone.tail_mass)
+
+
+@pytest.mark.parametrize("point, cutoff", PREFIX_POINTS)
+def test_discarded_weight_is_the_rows_tails(point, cutoff):
+    # the span of the references holds each of them, so the certificate is
+    # sum_r w_r ||(I - M_{N_r}) v_{i_r}||^2, each tail summed from the last
+    # block down; a plain stack has whole rows and certifies with 0
+    rho = lossy_probe_density(*point, cutoff)
+    ref, last, weight = rho.rows
+    block_sq = rho.basis.block_norms(rho.refs)
+    tails = np.array([sum(block_sq[i, n + 1:][::-1]) for i, n in zip(ref, last)])
+    bound = float(np.dot(weight, tails))
+    assert qfi._ritz_pairs(rho)[2] == bound
+    plain = DensityMatrix(rho.branches, rho.cutoff, rho.tail_mass)
+    assert qfi._ritz_pairs(plain)[2] == 0.0
+    assert qfi_mixed(plain).discarded_weight == 0.0
+    assert qfi_mixed(rho).discarded_weight == (bound if bound <= RITZ_TOL else 0.0)

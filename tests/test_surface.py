@@ -1,12 +1,15 @@
-"""The public surface other code reaches: README and the benchmark harness.
+"""The public surface other code reaches: README, the benchmark harness
+and the declared NumPy floor.
 
 perfbench/ imports mzqfi names and wraps module attributes by name,
 README's library quick start calls the package and its CLI quick start
 uses the flags; a deletion that removes a name or a flag any of them
-uses fails here, in the unit suite.
+uses fails here, in the unit suite.  pyproject.toml declares numpy>=1.24,
+so src/ may not call what only NumPy 2 has.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import runpy
@@ -83,3 +86,33 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)   # exits on an unknown flag or choice; runs nothing
+
+
+# names NumPy has only from 2.0, as numpy or numpy.linalg attributes; .mT on any array
+_NUMPY_2_ONLY = {"vecdot", "matvec", "vecmat", "matrix_transpose", "unstack", "concat",
+                 "permute_dims", "cumulative_sum", "cumulative_prod"}
+
+
+def _numpy_2_names(source: str) -> list[str]:
+    """The NumPy-2-only names that source reaches, as np.X, numpy.linalg.X,
+    from-imports of numpy or numpy.linalg, or .mT."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            base = ast.unparse(node.value)
+            if node.attr == "mT" or (node.attr in _NUMPY_2_ONLY and base in (
+                    "np", "numpy", "np.linalg", "numpy.linalg")):
+                found.append(f"{base}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name in _NUMPY_2_ONLY]
+    return found
+
+
+def test_src_uses_no_numpy_2_only_name():
+    probe = ("import numpy as np\nfrom numpy.linalg import vecdot\n"
+             "np.vecdot(a, b) + np.linalg.matrix_transpose(a) + a.mT + x.concat\n")
+    assert sorted(_numpy_2_names(probe)) == [
+        "a.mT", "np.linalg.matrix_transpose", "np.vecdot", "numpy.linalg.vecdot"]
+    found = {path.name: _numpy_2_names(path.read_text())
+             for path in sorted((_ROOT / "src").rglob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
