@@ -86,7 +86,6 @@ from .experiments import (
     golden_section_max,
     loss_sensitivity_report,
     read_records,
-    resolve_jobs,
     run_grid,
     scan_phi,
     write_records_csv,

@@ -54,7 +54,6 @@ _OPTIONS = {
     "method": _Option(str, "analytic", _METHODS),
     "tol_rank": _Option(float),
     "tol_tail": _Option(float),
-    "jobs": _Option(int),
     "out": _Option(str),
     "format": _Option(str, "csv", ("csv", "json")),
     "level": _Option(str, "fast", ("fast", "full")),
@@ -160,7 +159,7 @@ def _cmd_scan(args, v) -> int:
 
 
 def _cmd_figure(args, v) -> int:
-    dataset = figure_dataset(args.figure_id, n_max=v["n_max"], jobs=v["jobs"])
+    dataset = figure_dataset(args.figure_id, n_max=v["n_max"])
     out = v["out"] or f"{dataset.figure_id}.{v['format']}"
     _write_records(out, v["format"], dataset.records, dataset.meta)
     line = f"{dataset.figure_id}: {len(dataset.records)} records -> {out}"
@@ -189,7 +188,7 @@ _COMMANDS = {
     "scan": (_cmd_scan, "phi sweep with the harmonic optimum",
              ("alpha", "omega", "T", "n_max", "method", "out", "format")),
     "figure": (_cmd_figure, "dataset behind a published panel",
-               ("n_max", "jobs", "out", "format")),
+               ("n_max", "out", "format")),
     "validate": (_cmd_validate, "internal consistency suites", ("level",)),
 }
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -62,9 +62,21 @@ def default_omega_grid(points: int = OMEGA_POINTS) -> tuple[float, ...]:
     return tuple(i * math.pi / points for i in range(points))
 
 
-def _check_axis(name: str, axis) -> list[float]:
-    """axis as a list of floats, once it is non-empty, finite and sorted ascending."""
-    values = [float(v) for v in axis]
+def _check_axis(name: str, axis) -> tuple[float, ...]:
+    """axis as a tuple of floats, once it is a non-empty sequence of real
+    numbers (strings are not), finite and sorted ascending."""
+    try:
+        entries = tuple(axis)
+    except TypeError:
+        entries = None
+    # a float skips the abstract check, which is ~10x slower per entry
+    if entries is None or not all(type(v) is float or isinstance(v, numbers.Real)
+                                  for v in entries):
+        raise DomainError(f"{name} must be a sequence of real numbers")
+    try:
+        values = tuple(map(float, entries))
+    except OverflowError:   # an int beyond the float range
+        raise DomainError(f"{name} must be finite and sorted ascending") from None
     if not values:
         raise DomainError(f"{name} must be non-empty")
     # written with <= so that a NaN entry fails; once sorted, the two ends
@@ -93,11 +105,10 @@ class SweepGrid:
     method: str = "both"
 
     def __post_init__(self):
-        for name, axis in (("alpha_values", self.alpha_values),
-                           ("phi_grid", self.phi_grid),
-                           ("omega_grid", self.omega_grid),
-                           ("T_grid", self.T_grid)):
-            _check_axis(name, axis)
+        # the axes are stored as the tuples of floats checked here, so the
+        # window checks below and every grid point read checked values
+        for name in ("alpha_values", "phi_grid", "omega_grid", "T_grid"):
+            object.__setattr__(self, name, _check_axis(name, getattr(self, name)))
         for alpha in self.alpha_values:
             check_alpha(alpha)
         _check_phi_window(self.phi_grid)
@@ -246,17 +257,6 @@ def _evaluate_star(args) -> SweepRecord:
     return evaluate_point(*point, method=method, n_max=n_max)
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    """Explicit value, else MZQFI_JOBS, else 1."""
-    if jobs is None:
-        text = os.environ.get("MZQFI_JOBS", "1")
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise DomainError(f"MZQFI_JOBS must be an integer, got {text!r}") from None
-    return max(1, jobs)
-
-
 def _grid_block(grid: SweepGrid, alpha: float, omega: float) -> list[SweepRecord]:
     """The records of grid at (alpha, omega), in grid order (T, then phi).
 
@@ -281,13 +281,13 @@ def _grid_block(grid: SweepGrid, alpha: float, omega: float) -> list[SweepRecord
     return records
 
 
-def run_grid(grid: SweepGrid, jobs: int | None = None) -> list[SweepRecord]:
-    """Every point of grid, in grid order.  Serially, each (alpha, omega,
-    phi) takes its lossy transmissions as one column; the process pool
-    (jobs > 1) evaluates point by point."""
+def run_grid(grid: SweepGrid, jobs: int = 1) -> list[SweepRecord]:
+    """Every point of grid, in grid order.  Serially (jobs <= 1), each
+    (alpha, omega, phi) takes its lossy transmissions as one column.  The
+    process pool (jobs > 1) evaluates point by point; it is kept only for
+    the benchmark's pool pass (perfbench/run.py), which times it."""
     points = grid.points()
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(points) < 4:
+    if jobs <= 1 or len(points) < 4:
         return [record for alpha in grid.alpha_values for omega in grid.omega_grid
                 for record in _grid_block(grid, alpha, omega)]
     # imported here: the process-pool machinery adds ~1.4 MB of RSS
@@ -411,8 +411,7 @@ def _meta(figure_id: str, grid_desc: dict, n_max: int | None, numeric: bool) -> 
     }
 
 
-def figure_dataset(figure_id: str, n_max: int | None = None,
-                   jobs: int | None = None) -> FigureDataset:
+def figure_dataset(figure_id: str, n_max: int | None = None) -> FigureDataset:
     """Full dataset behind one published-figure panel.
 
     fig1a/fig1b: QFI vs phi at alpha = 0.3 for T = 0.1..1.0, with
@@ -437,7 +436,7 @@ def figure_dataset(figure_id: str, n_max: int | None = None,
             n_max=eff_n_max,
             method="both",
         )
-        records = run_grid(grid, jobs)
+        records = run_grid(grid)
         meta = _meta(figure_id, {
             "alpha": 0.3, "omega": omega, "T_grid": list(grid.T_grid),
             "phi_points": len(grid.phi_grid),
@@ -465,7 +464,7 @@ def figure_dataset(figure_id: str, n_max: int | None = None,
         n_max=n_max,
         method="both" if numeric else "analytic",
     )
-    records = run_grid(grid, jobs)
+    records = run_grid(grid)
     eff_n_max = n_max
     if numeric and eff_n_max is None:
         eff_n_max = probe_cutoff(alpha).n_max

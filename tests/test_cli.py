@@ -18,13 +18,12 @@ from mzqfi.cli import main
 # The child must run the same mzqfi this process imported, from any cwd.
 # An inherited relative PYTHONPATH (e.g. "src") stops resolving once a test
 # passes cwd=tmp_path, so the directory holding the imported package goes
-# first as an absolute path.  MZQFI_JOBS is dropped so that a caller's shell
-# cannot turn figure runs into process-pool runs.
+# first as an absolute path.
 _PACKAGE_ROOT = str(Path(mzqfi.__file__).resolve().parent.parent)
 
 
 def run_cli(*args, cwd=None):
-    env = {k: v for k, v in os.environ.items() if k != "MZQFI_JOBS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -129,12 +128,21 @@ def test_bad_config_entries(tmp_path):
     assert "expected key=value" in proc.stderr
     # a key of another command is refused, not silently left unused
     for args, text, key in ((("figure", "fig2c"), "alpha = 9\n", "alpha"),
-                            (("eval",), "alpha = 0.3\njobs = 3\n", "jobs")):
+                            (("eval",), "alpha = 0.3\nlevel = full\n", "level")):
         misplaced = tmp_path / "misplaced.cfg"
         misplaced.write_text(text)
         proc = run_cli(*args, "--config", str(misplaced))
         assert proc.returncode == 2
         assert f"config key {key!r} is not an option of mzqfi {args[0]}" in proc.stderr
+    # jobs is no option of any command, as a config key or as a flag
+    no_jobs = tmp_path / "jobs.cfg"
+    no_jobs.write_text("jobs = 3\n")
+    proc = run_cli("figure", "fig2c", "--config", str(no_jobs))
+    assert proc.returncode == 2
+    assert "unknown config key 'jobs'" in proc.stderr
+    proc = run_cli("figure", "fig2c", "--jobs", "2")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --jobs 2" in proc.stderr
 
 
 def test_eval_writes_readable_output(tmp_path):

@@ -39,7 +39,6 @@ from mzqfi import (
     qfi,
     qfi_numeric,
     read_records,
-    resolve_jobs,
     run_grid,
     scan_phi,
     total_photon_number,
@@ -82,6 +81,10 @@ def test_sweep_grid_validation():
         SweepGrid(**{**ok, "T_grid": (1.5,)})
     with pytest.raises(DomainError):
         SweepGrid(**{**ok, "method": "magic"})
+    with pytest.raises(DomainError, match="method must be one of"):
+        evaluate_point(0.3, 0.0, 0.0, 0.5, method="bogus")
+    with pytest.raises(DomainError, match=r"omega must lie in \[0, pi\)"):
+        SweepGrid(**{**ok, "omega_grid": (math.pi,)})
     for bad in ({"alpha_values": (math.nan,)}, {"alpha_values": (math.inf,)},
                 {"omega_grid": (math.nan,)}):
         with pytest.raises(DomainError, match="must be finite"):
@@ -98,14 +101,25 @@ def test_sweep_grid_validation():
     ((0.5, math.nan), "must be finite and sorted ascending"),
     ((0.5, math.inf), "must be finite and sorted ascending"),
     ((-math.inf, 0.5), "must be finite and sorted ascending"),
+    ((0.5, 10**400), "must be finite and sorted ascending"),
+    (0.3, "must be a sequence of real numbers"),
+    (None, "must be a sequence of real numbers"),
+    ("0", "must be a sequence of real numbers"),
+    (("a",), "must be a sequence of real numbers"),
+    (("0.3",), "must be a sequence of real numbers"),
+    ((0.3j,), "must be a sequence of real numbers"),
 ])
 @pytest.mark.parametrize("kind", [tuple, list, np.array])
 def test_sweep_grid_axis_errors(values, message, kind):
+    # a scalar axis is passed as it is, or as a 0-d array
     ok = dict(alpha_values=(0.3,), phi_grid=(0.0,), omega_grid=(0.0,), T_grid=(0.5,))
+    bad = kind(values) if isinstance(values, tuple) or kind is np.array else values
     for axis in ok:
-        SweepGrid(**{**ok, axis: kind((0.1, 0.2))})
+        grid = SweepGrid(**{**ok, axis: kind((0.1, 0.2))})
+        assert getattr(grid, axis) == (0.1, 0.2)
+        assert all(type(v) is float for v in getattr(grid, axis))
         with pytest.raises(DomainError, match=f"^{axis} {message}$"):
-            SweepGrid(**{**ok, axis: kind(values)})
+            SweepGrid(**{**ok, axis: bad})
 
 
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan, 1e308])
@@ -221,22 +235,6 @@ def test_a_failing_column_is_evaluated_point_by_point(monkeypatch):
         _bits(evaluate_point(*p, method="both", n_max=20)) for p in grid.points()]
 
 
-def test_resolve_jobs_env_fallback(monkeypatch):
-    monkeypatch.setenv("MZQFI_JOBS", "3")
-    assert resolve_jobs(None) == 3
-    assert resolve_jobs(5) == 5
-    monkeypatch.delenv("MZQFI_JOBS")
-    assert resolve_jobs(None) == 1
-
-
-def test_bad_jobs_variable_is_domain_error(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("MZQFI_JOBS", "bogus")
-    with pytest.raises(DomainError, match="MZQFI_JOBS"):
-        resolve_jobs(None)
-    assert main(["figure", "fig2b", "--out", str(tmp_path / "fig2b.csv")]) == 2
-    assert "MZQFI_JOBS" in capsys.readouterr().err
-
-
 def test_golden_section_max_quadratic():
     arg = golden_section_max(lambda x: -(x - 1.3) ** 2, 0.0, 2.0, tol=1e-9)
     assert arg == pytest.approx(1.3, abs=1e-8)
@@ -318,7 +316,7 @@ def test_closed_form_columns_equal_their_points():
 
 @pytest.mark.parametrize("phi_grid",
                          [(), (0.5, -0.2, 1.0), (-1.6, 0.0), (0.0, math.pi / 2.0),
-                          (-0.5, math.nan)])
+                          (-0.5, math.nan), 0.3, ("a",), (0.3j,), "0"])
 def test_scan_phi_rejects_bad_grid(phi_grid):
     with pytest.raises(DomainError, match="phi"):
         scan_phi(0.3, 2.0, 0.83, phi_grid=phi_grid)
@@ -401,6 +399,10 @@ def test_compare_numeric_analytic_report():
     assert report.compared == 4
     assert report.worst is not None
     assert report.max_abs_err < 1e-8
+    # a closed-form grid has no numeric column to compare
+    report = compare_numeric_analytic(dataclasses.replace(grid, method="analytic"))
+    assert (report.compared, report.worst, report.max_abs_err) == (0, None, 0.0)
+    assert len(report.records) == 4
 
 
 def test_loss_sensitivity_report_at_zero_alpha_is_domain_error():
@@ -457,7 +459,7 @@ def test_sweep_record_keeps_the_frozen_dataclass_contract():
     assert dataclasses.astuple(rec) == values
     assert dataclasses.replace(rec, phi=0.5) == experiments.SweepRecord(
         0.3, 0.5, *values[2:])
-    # the --jobs pool pickles each record back to the parent process
+    # run_grid's process pool pickles each record back to the parent process
     assert pickle.loads(pickle.dumps(rec)) == rec
 
 
@@ -533,8 +535,8 @@ def test_closed_form_columns_are_pinned(figure_id, monkeypatch, tmp_path):
     # method is set to "analytic", which leaves the closed-form columns of a
     # "both" panel unchanged and skips its numeric route.
     run = experiments.run_grid
-    monkeypatch.setattr(experiments, "run_grid", lambda grid, jobs=None: run(
-        dataclasses.replace(grid, method="analytic"), jobs))
+    monkeypatch.setattr(experiments, "run_grid", lambda grid: run(
+        dataclasses.replace(grid, method="analytic")))
     path = tmp_path / f"{figure_id}.csv"
     write_records_csv(str(path), figure_dataset(figure_id).records)
     with open(path, newline="") as fh:
