@@ -12,13 +12,11 @@ class DomainError(MzqfiError, ValueError):
 class TailTooLarge(MzqfiError):
     """Truncation tail mass exceeds the requested tolerance."""
 
-    def __init__(self, tail_mass: float, tol: float, context: str = ""):
+    def __init__(self, tail_mass: float, tol: float, context: str):
         self.tail_mass = tail_mass
         self.tol = tol
-        msg = f"truncation tail mass {tail_mass:.3e} exceeds tolerance {tol:.3e}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+        super().__init__(f"truncation tail mass {tail_mass:.3e} exceeds tolerance "
+                         f"{tol:.3e} ({context})")
 
 
 class DegenerateCat(DomainError):

@@ -57,9 +57,9 @@ def default_phi_grid() -> tuple[float, ...]:
     return _DEFAULT_PHI_GRID
 
 
-def default_omega_grid(points: int = OMEGA_POINTS) -> tuple[float, ...]:
-    """`points` equally spaced superposition phases in [0, pi)."""
-    return tuple(i * math.pi / points for i in range(points))
+def default_omega_grid() -> tuple[float, ...]:
+    """OMEGA_POINTS equally spaced superposition phases in [0, pi)."""
+    return tuple(i * math.pi / OMEGA_POINTS for i in range(OMEGA_POINTS))
 
 
 def _check_axis(name: str, axis) -> tuple[float, ...]:
@@ -87,12 +87,6 @@ def _check_axis(name: str, axis) -> tuple[float, ...]:
     return values
 
 
-def _check_phi_window(phi_grid) -> None:
-    """A sorted, finite phi grid lies in [-pi/2, pi/2)."""
-    if not (-math.pi / 2.0 <= phi_grid[0] and phi_grid[-1] < math.pi / 2.0):
-        raise DomainError("phi must lie in [-pi/2, pi/2)")
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     """Cartesian sweep of (alpha, omega, T, phi) with one evaluation method."""
@@ -111,7 +105,8 @@ class SweepGrid:
             object.__setattr__(self, name, _check_axis(name, getattr(self, name)))
         for alpha in self.alpha_values:
             check_alpha(alpha)
-        _check_phi_window(self.phi_grid)
+        if not (-math.pi / 2.0 <= self.phi_grid[0] and self.phi_grid[-1] < math.pi / 2.0):
+            raise DomainError("phi must lie in [-pi/2, pi/2)")
         if self.omega_grid[0] < 0.0 or self.omega_grid[-1] >= math.pi:
             raise DomainError("omega must lie in [0, pi)")
         check_transmission(self.T_grid[0])
@@ -260,25 +255,22 @@ def _evaluate_star(args) -> SweepRecord:
 def _grid_block(grid: SweepGrid, alpha: float, omega: float) -> list[SweepRecord]:
     """The records of grid at (alpha, omega), in grid order (T, then phi).
 
-    The numeric route solves each phi column of transmissions at once
-    (qfi_numeric_column), with the bits of evaluate_point at each point.
-    If a column raises anything, the block is evaluated point by point, so
-    the grid raises what its first failing point raises.
+    The evaluator of every transmission is built first; the numeric route
+    then solves each phi column of transmissions at once
+    (qfi_numeric_column) on their shared cutoff, with the bits of
+    evaluate_point at each point.  So the grid raises, in this order, the
+    first failing transmission's closed-form, cutoff or photon-number
+    error, then the first failing phase's probe error.
     """
+    evaluators = [_PointEvaluator(alpha, omega, T, grid.method, grid.n_max)
+                  for T in grid.T_grid]
     columns = None
     if grid.method != "analytic":
-        try:
-            cutoff = probe_cutoff(alpha) if grid.n_max is None else FockCutoff(grid.n_max)
-            columns = [qfi_numeric_column(alpha, phi, omega, grid.T_grid, cutoff)
-                       for phi in grid.phi_grid]
-        except Exception:
-            pass   # each point then raises, or not, as evaluate_point does
-    records = []
-    for i, T in enumerate(grid.T_grid):
-        point = _PointEvaluator(alpha, omega, T, grid.method, grid.n_max)
-        records += point.column(grid.phi_grid, None,
-                                None if columns is None else [c[i] for c in columns])
-    return records
+        columns = [qfi_numeric_column(alpha, phi, omega, grid.T_grid, evaluators[0].cutoff)
+                   for phi in grid.phi_grid]
+    return [record for i, point in enumerate(evaluators)
+            for record in point.column(grid.phi_grid, None,
+                                       None if columns is None else [c[i] for c in columns])]
 
 
 def run_grid(grid: SweepGrid, jobs: int = 1) -> list[SweepRecord]:
@@ -350,36 +342,31 @@ def scan_phi(
     alpha: float,
     omega: float,
     T: float,
-    phi_grid: tuple[float, ...] | None = None,
     method: str = "analytic",
     n_max: int | None = None,
 ) -> PhiScan:
-    """Sweep phi, then take the optimum from the exact cos 2phi harmonic.
+    """Sweep the default phi grid, then take the optimum from the exact
+    cos 2phi harmonic.
 
-    The grid is checked once, on Python floats (the default grid's is built at
-    import).  The phi-independent work is done once, and a closed-form
-    column is one array expression over the grid; each grid record still
-    equals evaluate_point at its phi, bit for bit.  phi_m = atan2(c, b) / 2
+    The grid's floats and array are built once, at import.  The
+    phi-independent work is done once, and a closed-form column is one
+    array expression over the grid; each grid record still equals
+    evaluate_point at its phi, bit for bit.  phi_m = atan2(c, b) / 2
     from the harmonic of three phases (numeric values for method "numeric",
     closed form otherwise).  The grid values check the fit: a worst
     residual above HARMONIC_RTOL times max |F| raises HarmonicMismatch.
     """
-    if phi_grid is None:
-        phi_grid, phis = _DEFAULT_PHI_GRID, _DEFAULT_PHI_ARRAY
-    else:
-        phis = np.array(_check_axis("phi_grid", phi_grid))
-        _check_phi_window(phis)
     point = _PointEvaluator(alpha, omega, T, method, n_max)
     if point.run_numeric:
-        records = tuple(point.column(phi_grid, None, None))
+        records = tuple(point.column(_DEFAULT_PHI_GRID, None, None))
         values = np.array([r.F_numeric if point.curve is None else r.F_analytic
                            for r in records])
     else:
-        values = point.curve(phis)
-        records = tuple(point.column(phi_grid, values, None))
+        values = point.curve(_DEFAULT_PHI_ARRAY)
+        records = tuple(point.column(_DEFAULT_PHI_GRID, values, None))
     f = point.value
     a, b, c = phi_harmonic(f)
-    two_phi = 2.0 * phis
+    two_phi = 2.0 * _DEFAULT_PHI_ARRAY
     worst = float(np.max(np.abs(values - (a + b * np.cos(two_phi) + c * np.sin(two_phi)))))
     scale = float(np.max(np.abs(values)))
     if not worst <= HARMONIC_RTOL * scale:   # written so that a NaN fails

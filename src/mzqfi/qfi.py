@@ -49,7 +49,7 @@ class SpectralDecomposition:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
-    def rank(self, eps: float = EPS_RANK) -> int:
+    def rank(self, eps: float) -> int:
         return int(np.count_nonzero(self.eigenvalues > eps))
 
 

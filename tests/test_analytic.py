@@ -125,7 +125,8 @@ def test_lossy_equals_lossless_at_full_transmission():
 
 def test_lossy_zero_limits():
     # +0.0, not -0.0, which would be written as -0 into a CSV
-    for value in (qfi_lossy(0.5, 0.2, 1.0, 0.0), qfi_lossy(0.0, 0.2, 1.0, 0.7)):
+    for value in (qfi_lossy(0.5, 0.2, 1.0, 0.0), qfi_lossy(0.0, 0.2, 1.0, 0.7),
+                  qfi_lossy_even(0.5, 0.2, 0.0), qfi_lossy_even(0.0, 0.2, 0.7)):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 

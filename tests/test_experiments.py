@@ -19,6 +19,7 @@ from mzqfi import (
     FockCutoff,
     HarmonicMismatch,
     SweepGrid,
+    TailTooLarge,
     analytic,
     branch_amplitudes,
     branch_jz_moments,
@@ -46,6 +47,7 @@ from mzqfi import (
     write_records_json,
 )
 from mzqfi.cli import main
+from mzqfi.errors import BasisDegenerate
 
 
 def test_default_phi_grid_shape():
@@ -222,17 +224,16 @@ def test_run_grid_columns_have_the_bits_of_their_points():
         _bits(evaluate_point(*p, method="both", n_max=20)) for p in grid.points()]
 
 
-def test_a_failing_column_is_evaluated_point_by_point(monkeypatch):
-    # whatever a column raises, not only an MzqfiError, its block is
-    # evaluated again point by point: the grid raises only what a point does
-    def fail(*args):
-        raise np.linalg.LinAlgError("stacked solve failed")
-
-    monkeypatch.setattr(experiments, "qfi_numeric_column", fail)
+@pytest.mark.parametrize("T_grid, error", [((0.0, 1e-13), BasisDegenerate),
+                                            ((0.0, 0.5), TailTooLarge)])
+def test_a_grid_raises_its_transmissions_errors_before_its_phases(T_grid, error):
+    # n_max 1 leaves a tail far above EPS_TAIL at every phase, and the
+    # closed form at T = 1e-13 has no 2D branch basis: the transmission's
+    # error comes first
     grid = SweepGrid(alpha_values=(0.3,), phi_grid=(0.0, 0.3), omega_grid=(1.0,),
-                     T_grid=(0.5, 1.0), n_max=20, method="both")
-    assert [_bits(rec) for rec in run_grid(grid, jobs=1)] == [
-        _bits(evaluate_point(*p, method="both", n_max=20)) for p in grid.points()]
+                     T_grid=T_grid, n_max=1, method="both")
+    with pytest.raises(error):
+        run_grid(grid, jobs=1)
 
 
 def test_golden_section_max_quadratic():
@@ -254,39 +255,35 @@ def _bits(record):
     return [repr(x) for x in dataclasses.astuple(record)]
 
 
-_SHORT_GRID = tuple(np.linspace(-1.5, 1.5, 9))
-
-
-@pytest.mark.parametrize("alpha, omega, T, method, phi_grid", [
+@pytest.mark.parametrize("alpha, omega, T, method, n_max", [
     (0.3, 2.0, 0.83, "analytic", None),
     (0.8, 1.0, 1.0, "analytic", None),
     (0.5, 1.0, 0.0, "analytic", None),
     (0.0, 1.0, 0.5, "analytic", None),
     (4.5, 2.5, 0.6, "analytic", None),
-    (0.3, 6.0 * math.pi / 7.0, 0.6, "both", _SHORT_GRID),
-    (0.3, 1.0, 1.0, "both", _SHORT_GRID),
-    (0.5, 0.1, 0.0, "both", _SHORT_GRID),
-    (0.0, 1.0, 0.5, "both", _SHORT_GRID),
+    (0.3, 6.0 * math.pi / 7.0, 0.6, "both", 12),
+    (0.3, 1.0, 1.0, "both", 12),
+    (0.5, 0.1, 0.0, "both", 12),
+    (0.0, 1.0, 0.5, "both", 12),
     (9.5, 0.99 * math.pi, 0.1, "analytic", None),
     (6.0, 0.0, 1.0, "analytic", None),
 ])
-def test_scan_records_equal_evaluate_point(alpha, omega, T, method, phi_grid):
-    scan = scan_phi(alpha, omega, T, phi_grid=phi_grid, method=method, n_max=12)
-    grid = default_phi_grid() if phi_grid is None else phi_grid
+def test_scan_records_equal_evaluate_point(alpha, omega, T, method, n_max):
+    scan = scan_phi(alpha, omega, T, method=method, n_max=n_max)
+    grid = default_phi_grid()
     assert len(scan.records) == len(grid)
     for phi, rec in zip(grid, scan.records):
         assert _bits(rec) == _bits(evaluate_point(alpha, phi, omega, T, method=method,
-                                                  n_max=12))
+                                                  n_max=n_max))
 
 
 def _column_cases():
-    """(alpha, omega, T, phi_grid) of closed-form columns: the domain's edges
-    on the default grid, then seeded draws on the default grid and on
-    sorted random grids.  T = 1 is the lossless curve, T < 1 the lossy one;
+    """(alpha, omega, T) of closed-form columns: the domain's edges, then
+    seeded draws.  T = 1 is the lossless curve, T < 1 the lossy one;
     alpha reaches 5e76, just below where the lossless curve overflows."""
     top = 5e76
     odd = math.nextafter(math.pi, 0.0)
-    cases = [(alpha, omega, T, None)
+    cases = [(alpha, omega, T)
              for alpha in (0.0, 0.3, 4.0, top)
              for omega in (0.0, 2.0, odd, math.pi)
              for T in (0.0, 0.5, 1.0)
@@ -296,30 +293,18 @@ def _column_cases():
         alpha = float(10.0 ** rng.uniform(-2.0, 76.0) if draw % 2 else rng.uniform(0.0, 10.0))
         omega = float(rng.uniform(0.0, math.pi))
         T = 1.0 if draw % 4 == 0 else float(rng.uniform(0.0, 1.0))
-        grid = None
-        if draw % 8:
-            size = int(rng.integers(2, 40))
-            grid = tuple(np.sort(rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)).tolist())
-        cases.append((alpha, omega, T, grid))
+        cases.append((alpha, omega, T))
     return cases
 
 
 def test_closed_form_columns_equal_their_points():
     # a scan evaluates a closed-form column as one array expression; every
     # record must have the bits of the single point, which takes math's floats
-    for alpha, omega, T, phi_grid in _column_cases():
-        scan = scan_phi(alpha, omega, T, phi_grid=phi_grid)
-        grid = default_phi_grid() if phi_grid is None else phi_grid
+    for alpha, omega, T in _column_cases():
+        scan = scan_phi(alpha, omega, T)
         assert [_bits(rec) for rec in scan.records] == [
-            _bits(evaluate_point(alpha, phi, omega, T, method="analytic")) for phi in grid]
-
-
-@pytest.mark.parametrize("phi_grid",
-                         [(), (0.5, -0.2, 1.0), (-1.6, 0.0), (0.0, math.pi / 2.0),
-                          (-0.5, math.nan), 0.3, ("a",), (0.3j,), "0"])
-def test_scan_phi_rejects_bad_grid(phi_grid):
-    with pytest.raises(DomainError, match="phi"):
-        scan_phi(0.3, 2.0, 0.83, phi_grid=phi_grid)
+            _bits(evaluate_point(alpha, phi, omega, T, method="analytic"))
+            for phi in default_phi_grid()]
 
 
 @pytest.mark.parametrize("alpha, omega, T", [(4.0, 0.5, 0.6), (4.0, 2.0, 0.6), (4.2, 1.0, 0.6)])
@@ -360,6 +345,17 @@ def test_scan_phi_rejects_non_harmonic_curve(monkeypatch):
     monkeypatch.setattr(experiments, "qfi_numeric", fake)
     with pytest.raises(HarmonicMismatch, match="departs from"):
         scan_phi(0.3, 2.0, 0.83, method="numeric", n_max=12)
+
+
+def test_scan_phi_maps_its_optimum_into_the_phase_window(monkeypatch):
+    def fake(alpha, phi, omega, T, cutoff):
+        # maximal at phi = +-pi/2; atan2(c, b) / 2 gives +pi/2, outside [-pi/2, pi/2)
+        return SimpleNamespace(value=1.0 - 0.5 * math.cos(2.0 * phi), tail_mass=0.0)
+
+    monkeypatch.setattr(experiments, "qfi_numeric", fake)
+    scan = scan_phi(0.3, 2.0, 0.83, method="numeric", n_max=12)
+    assert scan.phi_m == -math.pi / 2.0
+    assert scan.f_max == 1.5
 
 
 def test_figure_dataset_rejects_unknown_id():
@@ -466,8 +462,10 @@ def test_sweep_record_keeps_the_frozen_dataclass_contract():
 def test_default_grid_scan_writes_the_bytes_of_the_numpy_grid(tmp_path):
     numpy_grid = tuple(np.linspace(-math.pi / 2.0, math.pi / 2.0, 201, endpoint=False))
     for alpha, omega, T in ((0.3, 2.0, 0.83), (0.8, 1.0, 1.0)):
-        for name, grid in (("floats", None), ("numpy", numpy_grid)):
-            records = scan_phi(alpha, omega, T, phi_grid=grid).records
+        for name, records in (
+                ("floats", scan_phi(alpha, omega, T).records),
+                ("numpy", [evaluate_point(alpha, phi, omega, T, method="analytic")
+                           for phi in numpy_grid])):
             write_records_csv(str(tmp_path / f"{name}.csv"), records)
             write_records_json(str(tmp_path / f"{name}.json"), records)
         for ext in ("csv", "json"):

@@ -32,7 +32,7 @@ from mzqfi import (
     qfi_numeric,
     two_mode_basis,
 )
-from mzqfi.oracle import schwinger_matrices
+from mzqfi.oracle import dense_qfi, number_conserving_expm, schwinger_matrices
 
 
 def test_basis_ordering_total_number_blocks():
@@ -212,6 +212,20 @@ def test_input_state_product_structure():
     a00 = state.amplitudes[basis.lookup((0, 0))]
     a02 = state.amplitudes[basis.lookup((0, 2))]
     assert a02 / a00 == pytest.approx(cb[2] / cb[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: input_state(-0.3, 0.0, CatParams(0.3, 1.0), FockCutoff(5)), DomainError,
+     "alpha must be non-negative"),
+    (lambda: fock_basis(0, 3), DomainError, "n_modes must be positive"),
+    (lambda: number_conserving_expm(fock_basis(2, 2), np.eye(5), 0.3), DimensionMismatch,
+     "does not fit basis dim 6"),
+    (lambda: dense_qfi(np.eye(6) / 6.0, np.eye(5)), DimensionMismatch,
+     "generator shape"),
+], ids=["input_state_negative_alpha", "fock_basis_no_modes", "expm_shape", "dense_qfi_shape"])
+def test_bad_inputs_raise_typed_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_two_mode_state_shape_guard():

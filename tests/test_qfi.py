@@ -9,18 +9,15 @@ import pytest
 import mzqfi.qfi as qfi
 from mzqfi import (
     EPS_RANK,
-    BeamSplitterSpec,
     DensityMatrix,
     DimensionMismatch,
     DomainError,
     FockCutoff,
     NotDensityMatrix,
     TwoModeState,
-    beam_splitter_unitary,
     coherent_amplitudes,
     evaluate_point,
     fock_basis,
-    hop_operator,
     lossy_probe_density,
     probe_cutoff,
     probe_state,
@@ -86,19 +83,7 @@ def test_maximally_mixed_has_zero_qfi():
     assert dense_qfi(rho, jz).value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_generator_choice_applies_its_matrix():
-    # the one generator, J_y, as 2i J_y = a^dag b - b^dag a
-    cutoff = FockCutoff(5)
-    dim = two_mode_basis(cutoff).dim
-    rng = np.random.default_rng(5)
-    vecs = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
-    hop_ab = hop_operator(two_mode_basis(cutoff), 0, 1)
-    for x in (vecs, vecs[:, 0]):
-        np.testing.assert_allclose(schwinger_ops(cutoff).jy_shift(x.T).T,
-                                   (hop_ab - hop_ab.conj().T) @ x, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("n_max", [0, 1, 20, 24, 41])
+@pytest.mark.parametrize("n_max", [0, 1, 5, 20, 24, 41])
 def test_jy_shift_matches_the_dense_jy(n_max):
     # a^dag b moves each state one index back inside its total-number block;
     # unit columns, as the Ritz vectors the route applies J_y to
@@ -116,22 +101,9 @@ def test_spectral_decomposition_ordering_and_guard():
     rho = np.diag([0.2, 0.5, 0.3]).astype(complex)
     dec = spectral_decomposition(rho)
     assert np.all(np.diff(dec.eigenvalues) <= 0)
-    assert dec.rank() == 3
+    assert dec.rank(EPS_RANK) == 3
     with pytest.raises(NotDensityMatrix):
         spectral_decomposition(np.diag([1.001, -1e-3]).astype(complex))
-
-
-def test_diagonal_fast_path_matches_dense_route():
-    # conjugating J_y by a fixed splitter mixes it further; QFI is invariant
-    rho = lossy_probe_density(0.3, 0.25, 2.0, 0.6)
-    cutoff = rho.cutoff
-    jy = schwinger_matrices(cutoff).jy
-    u = beam_splitter_unitary(BeamSplitterSpec(0.5), cutoff)
-    rotated_rho = u @ rho.matrix @ u.conj().T
-    rotated_gen = u @ jy @ u.conj().T
-    a = dense_qfi(rho.matrix, jy).value
-    b = dense_qfi(rotated_rho, rotated_gen).value
-    assert b == pytest.approx(a, abs=1e-10)
 
 
 def test_uhlmann_fidelity_limits():
