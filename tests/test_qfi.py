@@ -9,12 +9,14 @@ import pytest
 import mzqfi.qfi as qfi
 from mzqfi import (
     EPS_RANK,
+    BeamSplitterSpec,
     DensityMatrix,
     DimensionMismatch,
     DomainError,
     FockCutoff,
     NotDensityMatrix,
     TwoModeState,
+    beam_splitter_unitary,
     coherent_amplitudes,
     evaluate_point,
     fock_basis,
@@ -104,6 +106,19 @@ def test_spectral_decomposition_ordering_and_guard():
     assert dec.rank(EPS_RANK) == 3
     with pytest.raises(NotDensityMatrix):
         spectral_decomposition(np.diag([1.001, -1e-3]).astype(complex))
+
+
+def test_diagonal_fast_path_matches_dense_route():
+    # conjugating J_y by a fixed splitter mixes it further; QFI is invariant
+    rho = lossy_probe_density(0.3, 0.25, 2.0, 0.6)
+    cutoff = rho.cutoff
+    jy = schwinger_matrices(cutoff).jy
+    u = beam_splitter_unitary(BeamSplitterSpec(0.5), cutoff)
+    rotated_rho = u @ rho.matrix @ u.conj().T
+    rotated_gen = u @ jy @ u.conj().T
+    a = dense_qfi(rho.matrix, jy).value
+    b = dense_qfi(rotated_rho, rotated_gen).value
+    assert b == pytest.approx(a, abs=1e-10)
 
 
 def test_uhlmann_fidelity_limits():
