@@ -15,8 +15,13 @@ class TailTooLarge(MzqfiError):
     def __init__(self, tail_mass: float, tol: float, context: str):
         self.tail_mass = tail_mass
         self.tol = tol
+        self.context = context
         super().__init__(f"truncation tail mass {tail_mass:.3e} exceeds tolerance "
                          f"{tol:.3e} ({context})")
+
+    def __reduce__(self):
+        # the default rebuilds from args, the one formatted message
+        return type(self), (self.tail_mass, self.tol, self.context)
 
 
 class DegenerateCat(DomainError):

@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .channels import check_transmission
 from .errors import DomainError, HarmonicMismatch
 from .fock import EPS_TAIL, FockCutoff, check_alpha, check_phi
 from .qfi import EPS_RANK
-from .simulate import probe_cutoff, qfi_numeric, qfi_numeric_column
+from .simulate import probe_cutoff, qfi_numeric, shared_parity_tables
 
 NUMERIC_ALPHA_MAX = 1.5        # figure panels run the numeric route only up to here
 PHI_POINTS = 201
@@ -202,16 +203,14 @@ class _PointEvaluator:
         numeric value when that is the only route."""
         return self.numeric(phi).value if self.curve is None else self.curve(phi)
 
-    def column(self, phis, values, results) -> list[SweepRecord]:
+    def column(self, phis, values) -> list[SweepRecord]:
         """The records at each phi of phis, in order.
 
         values is None, or the array of closed-form values at phis that a
         closed-form scan takes from one array expression of its curve:
         then the records are built in one comprehension, with the bits of
         one curve call per phase.  Otherwise each phase calls the curve on
-        a float, as a single point does, and then the numeric route: the
-        QfiResult at each phi of results (run_grid's transmission columns,
-        with the bits of qfi_numeric), or qfi_numeric when results is None.
+        a float, as a single point does, and then qfi_numeric.
         """
         alpha, omega, T, curve = self.alpha, self.omega, self.T, self.curve
         run_numeric, n_total, n_sq = self.run_numeric, self.n_total, self.n_sq
@@ -219,11 +218,11 @@ class _PointEvaluator:
             return [SweepRecord(alpha, phi, omega, T, f, None, None, None, n_total, n_sq)
                     for phi, f in zip(phis, values.tolist())]
         records = []
-        for i, phi in enumerate(phis):
+        for phi in phis:
             f_analytic = None if curve is None else curve(phi)
             f_numeric = tail = abs_err = None
             if run_numeric:
-                res = self.numeric(phi) if results is None else results[i]
+                res = self.numeric(phi)
                 f_numeric, tail = res.value, res.tail_mass
                 if f_analytic is not None:
                     abs_err = abs(f_analytic - f_numeric)
@@ -233,7 +232,7 @@ class _PointEvaluator:
 
     def __call__(self, phi: float) -> SweepRecord:
         check_phi(phi)
-        return self.column((phi,), None, None)[0]
+        return self.column((phi,), None)[0]
 
 
 def evaluate_point(
@@ -255,33 +254,30 @@ def _evaluate_star(args) -> SweepRecord:
 def _grid_block(grid: SweepGrid, alpha: float, omega: float) -> list[SweepRecord]:
     """The records of grid at (alpha, omega), in grid order (T, then phi).
 
-    The evaluator of every transmission is built first; the numeric route
-    then solves each phi column of transmissions at once
-    (qfi_numeric_column) on their shared cutoff, with the bits of
-    evaluate_point at each point.  So the grid raises, in this order, the
-    first failing transmission's closed-form, cutoff or photon-number
-    error, then the first failing phase's probe error.
+    The evaluator of every transmission is built first, so the grid raises,
+    in this order, the first failing transmission's closed-form, cutoff or
+    photon-number error, then the first failing point's probe error.  Each
+    point runs the code of evaluate_point.
     """
     evaluators = [_PointEvaluator(alpha, omega, T, grid.method, grid.n_max)
                   for T in grid.T_grid]
-    columns = None
-    if grid.method != "analytic":
-        columns = [qfi_numeric_column(alpha, phi, omega, grid.T_grid, evaluators[0].cutoff)
-                   for phi in grid.phi_grid]
-    return [record for i, point in enumerate(evaluators)
-            for record in point.column(grid.phi_grid, None,
-                                       None if columns is None else [c[i] for c in columns])]
+    return [record for point in evaluators for record in point.column(grid.phi_grid, None)]
 
 
 def run_grid(grid: SweepGrid, jobs: int = 1) -> list[SweepRecord]:
-    """Every point of grid, in grid order.  Serially (jobs <= 1), each
-    (alpha, omega, phi) takes its lossy transmissions as one column.  The
+    """Every point of grid, in grid order, each with the bits of
+    evaluate_point.  Serially (jobs <= 1), one (alpha, omega) block at a
+    time, the numeric points of one alpha sharing its parity tables.  The
     process pool (jobs > 1) evaluates point by point; it is kept only for
     the benchmark's pool pass (perfbench/run.py), which times it."""
     points = grid.points()
     if jobs <= 1 or len(points) < 4:
-        return [record for alpha in grid.alpha_values for omega in grid.omega_grid
-                for record in _grid_block(grid, alpha, omega)]
+        records = []
+        for alpha in grid.alpha_values:
+            with shared_parity_tables():
+                records += [record for omega in grid.omega_grid
+                            for record in _grid_block(grid, alpha, omega)]
+        return records
     # imported here: the process-pool machinery adds ~1.4 MB of RSS
     # (CPython 3.11) to every process that imports mzqfi, and only this
     # branch uses it
@@ -357,27 +353,29 @@ def scan_phi(
     residual above HARMONIC_RTOL times max |F| raises HarmonicMismatch.
     """
     point = _PointEvaluator(alpha, omega, T, method, n_max)
-    if point.run_numeric:
-        records = tuple(point.column(_DEFAULT_PHI_GRID, None, None))
-        values = np.array([r.F_numeric if point.curve is None else r.F_analytic
-                           for r in records])
-    else:
-        values = point.curve(_DEFAULT_PHI_ARRAY)
-        records = tuple(point.column(_DEFAULT_PHI_GRID, values, None))
-    f = point.value
-    a, b, c = phi_harmonic(f)
-    two_phi = 2.0 * _DEFAULT_PHI_ARRAY
-    worst = float(np.max(np.abs(values - (a + b * np.cos(two_phi) + c * np.sin(two_phi)))))
-    scale = float(np.max(np.abs(values)))
-    if not worst <= HARMONIC_RTOL * scale:   # written so that a NaN fails
-        raise HarmonicMismatch(
-            f"F(phi) at alpha={alpha!r}, omega={omega!r}, T={T!r} departs from "
-            f"a + b cos 2phi + c sin 2phi by {worst:.3e} (max |F| {scale:.3e}, "
-            f"tol {HARMONIC_RTOL:.0e} relative)")
-    phi_m = 0.5 * math.atan2(c, b)   # argmax of b cos 2phi + c sin 2phi
-    if phi_m >= math.pi / 2.0:
-        phi_m = -math.pi / 2.0
-    return PhiScan(records, phi_m, f(phi_m), (a, b, c), worst / scale if scale else 0.0)
+    # a numeric scan builds the parity tables of (alpha, n_max) once
+    with shared_parity_tables() if point.run_numeric else nullcontext():
+        if point.run_numeric:
+            records = tuple(point.column(_DEFAULT_PHI_GRID, None))
+            values = np.array([r.F_numeric if point.curve is None else r.F_analytic
+                               for r in records])
+        else:
+            values = point.curve(_DEFAULT_PHI_ARRAY)
+            records = tuple(point.column(_DEFAULT_PHI_GRID, values))
+        f = point.value
+        a, b, c = phi_harmonic(f)
+        two_phi = 2.0 * _DEFAULT_PHI_ARRAY
+        worst = float(np.max(np.abs(values - (a + b * np.cos(two_phi) + c * np.sin(two_phi)))))
+        scale = float(np.max(np.abs(values)))
+        if not worst <= HARMONIC_RTOL * scale:   # written so that a NaN fails
+            raise HarmonicMismatch(
+                f"F(phi) at alpha={alpha!r}, omega={omega!r}, T={T!r} departs from "
+                f"a + b cos 2phi + c sin 2phi by {worst:.3e} (max |F| {scale:.3e}, "
+                f"tol {HARMONIC_RTOL:.0e} relative)")
+        phi_m = 0.5 * math.atan2(c, b)   # argmax of b cos 2phi + c sin 2phi
+        if phi_m >= math.pi / 2.0:
+            phi_m = -math.pi / 2.0
+        return PhiScan(records, phi_m, f(phi_m), (a, b, c), worst / scale if scale else 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Truncated Fock space: number bases, occupation-shift maps, probe states
-and the density form the production route hands on.
+and the density form of the reference (vector) route.
 
 The working Hilbert space keeps every number state |n_1, ..., n_m> with
 n_1 + ... + n_m <= n_max.  Truncating on the *total* photon number (rather
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from typing import NamedTuple
 
 import numpy as np
 
@@ -225,14 +224,23 @@ def _renormalize(c: np.ndarray, tol_tail: float, label: tuple[str, float, int]
     label = (what, value, n_max), formatted only when raising.
     """
     retained = float(np.vdot(c, c).real)
+    tail = check_tail(retained, tol_tail, label)
+    c = c / math.sqrt(retained)
+    c.setflags(write=False)
+    return c, tail
+
+
+def check_tail(retained: float, tol_tail: float, label: tuple[str, float, int]) -> float:
+    """The tail mass max(0, 1 - retained) of truncated amplitudes of squared
+    norm retained.  Raises DomainError when retained is not finite and
+    TailTooLarge when the tail exceeds tol_tail, naming the amplitudes as
+    `_renormalize` does."""
     if not math.isfinite(retained):
         raise DomainError("amplitudes are not finite ({}={:.4g}, n_max={})".format(*label))
     tail = max(0.0, 1.0 - retained)
     if tail > tol_tail:
         raise TailTooLarge(tail, tol_tail, "{}={:.4g}, n_max={}".format(*label))
-    c = c / math.sqrt(retained)
-    c.setflags(write=False)
-    return c, tail
+    return tail
 
 
 def coherent_amplitudes(gamma: complex, cutoff: FockCutoff) -> tuple[np.ndarray, float]:
@@ -415,32 +423,6 @@ def trusted_density(refs: np.ndarray, cutoff: FockCutoff, tail_mass: float, rows
     return rho
 
 
-class DensityStack(NamedTuple):
-    """Densities of one cutoff that share their row structure, on a leading
-    axis: density t is rho_t = sum_r w[t, r] |M_{N_r} refs[t, i_r]><...|, with
-    `rows` = (i, N, w) and i, N common to every density.  It has the
-    attributes of a DensityMatrix, each with the leading axis where it
-    varies, so `qfi` solves either with one code; `density(t)` is density
-    t alone.  `channels.loss_column` builds one per column of transmissions.
-    """
-
-    refs: np.ndarray       # [t, i, basis index]
-    block_sq: np.ndarray   # [t, i, N]
-    rows: tuple            # (reference [r], last block [r], weight [t, r])
-    row_mass: np.ndarray   # [t, r]
-    cutoff: FockCutoff
-    tail_mass: float
-
-    @property
-    def basis(self) -> FockBasis:
-        return two_mode_basis(self.cutoff)
-
-    def density(self, t: int) -> DensityMatrix:
-        ref, last, weight = self.rows
-        return trusted_density(self.refs[t], self.cutoff, self.tail_mass,
-                               (ref, last, weight[t]), self.block_sq[t], self.row_mass[t])
-
-
 def pure_density(state: TwoModeState) -> DensityMatrix:
     return DensityMatrix(state.amplitudes[None, :], state.cutoff, state.tail_mass)
 
@@ -451,6 +433,15 @@ def check_phi(phi: float) -> None:
     if not math.isfinite(2.0 * phi):
         raise DomainError(
             f"amplitudes are not finite: phi must be finite, and so must 2 phi, got {phi!r}")
+
+
+def check_input(alpha: float, phi: float, tol_tail: float) -> None:
+    """The checks of `input_state` on its scalars, in its order."""
+    if alpha < 0:
+        raise DomainError("alpha must be non-negative")
+    check_phi(phi)
+    if not (math.isfinite(tol_tail) and tol_tail >= 0.0):
+        raise DomainError(f"tol_tail must be finite and non-negative, got {tol_tail!r}")
 
 
 def input_state(
@@ -467,11 +458,7 @@ def input_state(
     is reported as tail_mass.  A tol_tail that is not finite and
     non-negative is a DomainError: NaN would turn the tail check off.
     """
-    if alpha < 0:
-        raise DomainError("alpha must be non-negative")
-    check_phi(phi)
-    if not (math.isfinite(tol_tail) and tol_tail >= 0.0):
-        raise DomainError(f"tol_tail must be finite and non-negative, got {tol_tail!r}")
+    check_input(alpha, phi, tol_tail)
     n_max = cutoff.n_max
     gamma = 1j * alpha * complex(math.cos(phi), math.sin(phi))
     psi = two_mode_product(coherent_sequence(gamma, n_max), _cat_sequence(cat, n_max),

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import analytic, experiments, fock, oracle, qfi, simulate
-from .errors import DomainError
+from .errors import DomainError, TailTooLarge
 
 _OMEGA_67 = 6.0 * math.pi / 7.0
 _PHI_RANGE = (-math.pi / 2.0, math.pi / 2.0)
@@ -396,6 +396,53 @@ def _factored_vs_dense() -> float:
     return worst
 
 
+def _tightest_cutoff(alpha: float, phi: float, omega: float) -> fock.FockCutoff:
+    """The smallest cutoff whose tail the probe passes: the reference route
+    leaves weight out on its two references there, and falls back to its
+    formed rows."""
+    n_max = 1
+    while True:
+        try:
+            simulate.probe_state(alpha, phi, omega, fock.FockCutoff(n_max))
+            return fock.FockCutoff(n_max)
+        except TailTooLarge:
+            n_max += 1
+
+
+def _parity_split_vs_vectors() -> float:
+    """Largest |qfi_numeric - vector route| / |F| over a seeded corpus.
+
+    The parity split against the vector route it replaced: qfi_pure of the
+    probe state at T = 1, qfi_mixed of the Kraus fan-out otherwise.  alpha
+    runs log-uniformly over [1e-5, 1.5] at the default cutoff, and
+    uniformly over [0.35, 1.85] at the tightest cutoff (n_max 8 to 29),
+    ends included; phi over [-pi/2, pi/2), omega over [0, 0.999 pi] (the
+    first draw at 0), each at T = 0, 1e-13, a seeded T, 1 - 1e-9 and 1.
+    At F = 0 only an exact 0 passes; a rank or method mismatch is an
+    infinite deviation.
+    """
+    rng = np.random.default_rng(1412)
+    default = [1e-5, 1.5] + (10.0 ** rng.uniform(-5.0, math.log10(1.5), 10)).tolist()
+    tight = [0.35, 1.85] + rng.uniform(0.35, 1.85, 6).tolist()
+    points = []
+    for i, alpha in enumerate(default + tight):
+        phi = float(rng.uniform(*_PHI_RANGE))
+        omega = 0.0 if i == 0 else float(rng.uniform(0.0, 0.999 * math.pi))
+        cutoff = None if i < len(default) else _tightest_cutoff(alpha, phi, omega)
+        points += [(alpha, phi, omega, T, cutoff)
+                   for T in (0.0, 1e-13, float(rng.uniform()), 1.0 - 1e-9, 1.0)]
+    worst = 0.0
+    for alpha, phi, omega, T, cutoff in points:
+        got = simulate.qfi_numeric(alpha, phi, omega, T, cutoff)
+        ref = (qfi.qfi_pure(simulate.probe_state(alpha, phi, omega, cutoff)) if T == 1.0 else
+               qfi.qfi_mixed(simulate.lossy_probe_density(alpha, phi, omega, T, cutoff)))
+        gap = abs(got.value - ref.value)
+        if (got.rank, got.method) != (ref.rank, ref.method) or (gap and not ref.value):
+            return math.inf
+        worst = max(worst, gap / abs(ref.value) if gap else 0.0)
+    return worst
+
+
 def _fidelity_cross_check() -> float:
     """|spectral QFI - Bures finite difference| / |F|."""
     worst = 0.0
@@ -502,6 +549,7 @@ CHECKS: tuple[Check, ...] = (
     Check("unitary_invariance", "fast", 1e-9, _unitary_invariance),
     Check("rank_cutoff_stability", "fast", 1e-8, _rank_cutoff_stability),
     Check("factored_vs_dense", "fast", 1e-12, _factored_vs_dense),
+    Check("parity_split_vs_vectors", "fast", 1e-13, _parity_split_vs_vectors),
     Check("reduced_density_identities", "fast", 1e-12, _reduced_density_identities),
     Check("reduced_density_purity", "fast", 1e-10, _reduced_density_purity),
     Check("phi_harmonic", "fast", 1e-12, _phi_harmonic),

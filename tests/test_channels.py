@@ -1,6 +1,7 @@
 """Unit tests for beam splitters and the photon loss channel."""
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -23,8 +24,10 @@ from mzqfi import (
     phase_shift_unitary,
     probe_state,
     pure_density,
+    schwinger_ops,
     two_mode_basis,
 )
+from mzqfi.channels import loss_fan_out, parity_loss, parity_tables
 from mzqfi.oracle import loss_channel_ancilla
 
 
@@ -134,3 +137,80 @@ def test_loss_preserves_state_properties():
 
 def test_loss_matches_ancilla_realization(assert_invariant):
     assert_invariant("kraus_vs_ancilla")
+
+
+def _parity_points():
+    # (alpha, phi, omega, T): the even cat, a faint probe, then seeded draws
+    rng = np.random.default_rng(2903)
+    points = [(0.3, 0.4, 0.0, 0.7), (1e-5, -1.2, 2.0, 0.5)]
+    for _ in range(6):
+        alpha, phi = float(rng.uniform(0.05, 1.5)), float(rng.uniform(-math.pi / 2, math.pi / 2))
+        points.append((alpha, phi, float(rng.uniform(0.0, 0.999 * math.pi)), float(rng.uniform())))
+    return points
+
+
+def _parity_parts(state, vec):
+    even = state.basis.occupations[:, 1] % 2 == 0
+    return np.where(even, vec, 0.0), np.where(even, 0.0, vec)
+
+
+@pytest.mark.parametrize("point", _parity_points())
+def test_references_lie_on_the_parity_split(point):
+    # the identities the parity split rests on, read off the reference
+    # route's own vectors: v_1 is sqrt(1 - T) alpha (c_o e + c_e o) where
+    # v_0 is c_e e + c_o o, on every block a v_1 row reaches; e and o are
+    # orthogonal block by block, and so are He and Ho, H = 2i J_y
+    alpha, phi, omega, T = point
+    state = probe_state(alpha, phi, omega)
+    v0, v1 = loss_fan_out(state, T).refs
+    inside = state.basis.occupations.sum(axis=1) < state.cutoff.n_max
+    c_e, c_o = 1.0 + cmath.exp(1j * omega), 1.0 - cmath.exp(1j * omega)
+    scale = math.sqrt(1.0 - T) * alpha
+    for (p1, p0), (a, b) in zip(zip(_parity_parts(state, v1 * inside),
+                                    _parity_parts(state, v0 * inside)),
+                                ((c_e, c_o), (c_o, c_e))):
+        lhs, rhs = a * p1, scale * b * p0
+        assert np.linalg.norm(lhs - rhs) <= 1e-14 * (np.linalg.norm(lhs) + np.linalg.norm(rhs))
+    jy_shift = schwinger_ops(state.cutoff).jy_shift
+    for v in (v0, v1):
+        e, o = _parity_parts(state, v)
+        assert np.all(np.add.reduceat(e.conj() * o, state.basis.block_starts) == 0.0)
+        he, ho = jy_shift(e), jy_shift(o)
+        assert np.vdot(e, he) == np.vdot(o, ho) == 0.0   # H flips n_B parity
+        assert abs(np.vdot(he, ho)) <= 1e-14 * np.linalg.norm(he) * np.linalg.norm(ho)
+
+
+@pytest.mark.parametrize("point", _parity_points())
+def test_parity_tables_are_the_references_block_sums(point):
+    # the tables and group weights of the parity split against the
+    # reference route's vectors and rows, block by block: v_0 = s (c_e e + c_o o)
+    alpha, phi, omega, T = point
+    state = probe_state(alpha, phi, omega)
+    rho = loss_fan_out(state, T)
+    tables = parity_tables(alpha, state.cutoff.n_max)
+    powers, blocks, weights = parity_loss(tables, T)
+    c_e, c_o = 1.0 + cmath.exp(1j * omega), 1.0 - cmath.exp(1j * omega)
+    s_sq = 1.0 / (abs(c_e) ** 2 * tables.mass[0] + abs(c_o) ** 2 * tables.mass[1])
+    e, o = _parity_parts(state, rho.refs[0])
+    starts = state.basis.block_starts
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.max(np.abs(want)))
+
+    close(state.basis.block_norms(np.array([e, o])),
+          s_sq * np.array([abs(c_e) ** 2, abs(c_o) ** 2])[:, None] * blocks)
+    jy_shift = schwinger_ops(state.cutoff).jy_shift
+    r = 1j * cmath.exp(1j * phi)
+    k1, k2, c_ee, c_oo, l_e, l_o = tables.generator
+    close(np.add.reduceat(e.conj() * jy_shift(o), starts),
+          s_sq * (c_e.conjugate() * c_o) * powers * (r.conjugate() * k1 - r * k2))
+    for part, c, cc, ll in ((e, c_e, c_ee, l_e), (o, c_o, c_oo, l_o)):
+        hp = jy_shift(part)
+        close(np.add.reduceat(abs(hp) ** 2, starts),
+              s_sq * abs(c) ** 2 * powers * (2.0 * math.cos(2.0 * phi) * cc + ll))
+    # row (s, l mod 2) has weight (1 - T)^s [e_s, o_s] / e_0 per unit of
+    # s^2 ||M_{n-s} (c e + c' o)||^2, v_1 carrying sqrt(1 - T) alpha
+    ref, last, weight = rho.rows
+    group = state.cutoff.n_max - last
+    unit = np.where(ref == 1, (1.0 - T) * alpha * alpha, 1.0)
+    close(weight * unit, weights[ref, group])

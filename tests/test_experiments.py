@@ -42,6 +42,7 @@ from mzqfi import (
     read_records,
     run_grid,
     scan_phi,
+    simulate,
     total_photon_number,
     write_records_csv,
     write_records_json,
@@ -542,3 +543,23 @@ def test_closed_form_columns_are_pinned(figure_id, monkeypatch, tmp_path):
     picked = [header.index(col) for col in CLOSED_FORM_COLUMNS]
     text = "\n".join(",".join(row[i] for i in picked) for row in rows)
     assert hashlib.sha256(text.encode()).hexdigest() == CLOSED_FORM_SHA256[figure_id]
+
+
+def test_scans_and_grids_build_the_parity_tables_once(monkeypatch):
+    # a single point builds the tables of its (alpha, n_max); a numeric scan
+    # and a grid's points at one alpha share them, and drop them after
+    built = []
+    parity_tables = simulate.parity_tables
+    monkeypatch.setattr(simulate, "parity_tables",
+                        lambda *key: built.append(key) or parity_tables(*key))
+    evaluate_point(0.3, 0.1, 1.0, 0.5, method="both", n_max=12)
+    evaluate_point(0.3, 0.2, 1.0, 1.0, method="both", n_max=12)
+    assert built == [(0.3, 12)] * 2
+    built.clear()
+    scan_phi(0.3, 1.0, 0.5, method="numeric", n_max=12)
+    assert built == [(0.3, 12)]
+    built.clear()
+    run_grid(SweepGrid(alpha_values=(0.3, 0.5), phi_grid=(0.0, 0.4), omega_grid=(1.0, 2.0),
+                       T_grid=(0.5, 1.0), n_max=14, method="both"))
+    assert built == [(0.3, 14), (0.5, 14)]
+    assert simulate._SHARED_TABLES.get() is None

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import re
 
 import numpy as np
@@ -134,6 +135,14 @@ def test_coherent_tail_guard():
              "input alpha=1, n_max=4")):
         with pytest.raises(TailTooLarge, match=re.escape(f"exceeds tolerance 1.000e-10 ({label})")):
             build()
+
+
+def test_tail_too_large_survives_a_pickle_round_trip():
+    # the process pool of run_grid sends a worker's exception back pickled
+    err = TailTooLarge(1e-3, 1e-10, "input alpha=1, n_max=4")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is TailTooLarge
+    assert (str(back), back.tail_mass, back.tol) == (str(err), 1e-3, 1e-10)
 
 
 def test_cat_parity():

@@ -24,6 +24,7 @@ from mzqfi import (
     probe_cutoff,
     probe_state,
     pure_density,
+    qfi_lossy,
     qfi_mixed,
     qfi_numeric,
     qfi_pure,
@@ -32,9 +33,8 @@ from mzqfi import (
     two_mode_basis,
     uhlmann_fidelity,
 )
-from mzqfi.channels import loss_column
 from mzqfi.oracle import dense_qfi, loss_channel, schwinger_matrices
-from mzqfi.qfi import RITZ_TOL, qfi_column
+from mzqfi.qfi import RITZ_TOL
 
 
 def _coherent_vacuum(gamma, cutoff):
@@ -208,27 +208,60 @@ def test_factored_route_widens_to_a_rank_12_stack():
 
 
 def test_strong_loss_certifies_on_one_span(monkeypatch):
-    # at T = 0.05 the heaviest rows all share one cat parity; the span of
-    # the two parity references certifies at once, with a single QR
+    # on the reference route at T = 0.05 the heaviest rows all share one cat
+    # parity; the span of the two parity references certifies at once, with
+    # a single QR
     calls = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
-    result = qfi_numeric(1.447, 1.31, 0.79, 0.05)
+    result = qfi_mixed(lossy_probe_density(1.447, 1.31, 0.79, 0.05))
     assert len(calls) == 1
     assert result.discarded_weight <= RITZ_TOL
 
 
 def test_a_point_that_falls_back_takes_two_qr_calls(monkeypatch):
-    # at n_max 20 the span of the two references leaves weight out and some
-    # rows are cut short: one QR of the references, then one of the 41
-    # formed rows, whose span holds every row
+    # on the reference route at n_max 20 the span of the two references
+    # leaves weight out and some rows are cut short: one QR of the
+    # references, then one of the 41 formed rows, whose span holds every row
     shapes = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr",
                         lambda a, *r, **k: shapes.append(a.shape) or qr(a, *r, **k))
-    result = qfi_numeric(1.2, 0.3, 1.0, 0.7, FockCutoff(20))
+    result = qfi_mixed(lossy_probe_density(1.2, 0.3, 1.0, 0.7, FockCutoff(20)))
     assert shapes == [(231, 2), (231, 41)]
     assert result.discarded_weight <= RITZ_TOL
+
+
+def _count_linalg(monkeypatch):
+    calls = []
+    for name in ("qr", "eigh", "eigvalsh", "svd", "solve"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _solve=solve, _name=name, **k:
+                            calls.append((_name, a[0].shape)) or _solve(*a, **k))
+    return calls
+
+
+def test_a_parity_point_takes_one_2x2_eigh_and_no_qr(monkeypatch):
+    # the production route solves a certifying lossy point on the two parity
+    # parts, with no QR, and a lossless one from the tables alone
+    calls = _count_linalg(monkeypatch)
+    lossy = evaluate_point(0.3, 0.4, 1.1, 0.7, method="both", n_max=20)
+    pure = evaluate_point(0.3, 0.4, 1.1, 1.0, method="both", n_max=20)
+    assert calls == [("eigh", (2, 2))]
+    assert lossy.F_numeric == pytest.approx(lossy.F_analytic, rel=1e-12)
+    assert pure.F_numeric == pytest.approx(pure.F_analytic, rel=1e-12)
+
+
+def test_a_parity_point_that_does_not_certify_is_solved_per_block(monkeypatch):
+    # at alpha 1.2, n_max 20 the two parity parts leave weight out: one
+    # eigensolve on the per-block basis {e_N, o_N}, o_0 = 0 left out, whose
+    # span holds every row
+    calls = _count_linalg(monkeypatch)
+    got = qfi_numeric(1.2, 0.3, 1.0, 0.7, FockCutoff(20))
+    assert calls == [("eigh", (41, 41))]
+    ref = qfi_mixed(lossy_probe_density(1.2, 0.3, 1.0, 0.7, FockCutoff(20)))
+    assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+    assert (got.rank, got.discarded_weight) == (ref.rank, 0.0)
 
 
 PREFIX_POINTS = ([((0.8, 0.3, math.pi, T), None) for T in (0.0, 1e-13, 0.05, 0.37, 0.999999)]
@@ -340,37 +373,15 @@ def test_lossy_point_at_the_domain_corners(point, cutoff):
 
 
 def test_a_certifying_lossy_point_takes_one_qr_and_one_eigh(monkeypatch):
+    # the reference route: one QR of the two references, one 2x2 eigh
     calls = []
     for name in ("qr", "eigh"):
         solve = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, _solve=solve, _name=name, **k:
                             calls.append(_name) or _solve(*a, **k))
-    record = evaluate_point(0.3, 0.4, 1.1, 0.7, method="both", n_max=20)
+    result = qfi_mixed(lossy_probe_density(0.3, 0.4, 1.1, 0.7, FockCutoff(20)))
     assert calls == ["qr", "eigh"]
-    assert record.F_numeric == pytest.approx(record.F_analytic, rel=1e-12)
-
-
-def test_a_certifying_column_takes_one_qr_and_one_eigh(monkeypatch):
-    stack = loss_column(probe_state(0.3, 0.4, 1.1, FockCutoff(20)), [0.3, 0.5, 0.7, 0.9])
-    calls = []
-    for name in ("qr", "eigh"):
-        solve = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _solve=solve, _name=name, **k:
-                            calls.append(_name) or _solve(*a, **k))
-    results = qfi_column(stack, EPS_RANK)
-    assert calls == ["qr", "eigh"]
-    assert [r.rank for r in results] == [2, 2, 2, 2]
-
-
-def test_a_column_gives_each_transmission_its_point_result():
-    # at alpha 0.8, n_max 20 the two lossier densities fall back to their
-    # formed rows and the T = 1 - 1e-9 one certifies on its references
-    stack = loss_column(probe_state(0.8, 0.3, 1.0, FockCutoff(20)), [0.3, 0.7, 1.0 - 1e-9])
-    assert qfi._ritz_pairs(stack)[3].tolist() == [True, True, False]
-    for t, got in enumerate(qfi_column(stack, EPS_RANK)):
-        alone = qfi_mixed(stack.density(t))
-        assert (got.value, got.method, got.rank, got.discarded_weight, got.tail_mass) == (
-            alone.value, alone.method, alone.rank, alone.discarded_weight, alone.tail_mass)
+    assert result.value == pytest.approx(qfi_lossy(0.3, 0.4, 1.1, 0.7), rel=1e-12)
 
 
 @pytest.mark.parametrize("point, cutoff", PREFIX_POINTS)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -307,3 +308,55 @@ def test_discarded_weight_is_certified():
             rho = lossy_probe_density(alpha, phi, omega, T)
             result = qfi_mixed(rho)
             assert 0.0 <= result.discarded_weight <= RITZ_TOL
+
+
+_PARITY_CORNERS = [
+    ((0.3, 0.4, 1.0, 0.0), None),                  # T = 0: o has norm 0
+    ((1.2, -0.9, 2.5, 0.0), FockCutoff(20)),
+    ((1e-5, 0.7, 2.0, 0.6), None),
+    ((1e-7, -0.3, 1.0, 0.6), None),
+    ((1e-7, -0.3, 1.0, 1.0), None),
+    ((0.8, 0.3, 0.0, 0.5), None),                  # even cat
+    ((0.8, 0.3, 0.0, 1.0 - 1e-9), None),
+    ((0.8, 0.3, 0.999 * math.pi, 0.5), None),
+    ((0.8, 0.3, 0.999 * math.pi, 1e-13), None),
+    ((1.5, 1.2, 0.999 * math.pi, 1.0), None),
+    ((1.2, 0.3, 1.0, 0.7), FockCutoff(20)),        # solved per block
+    ((2.0, 0.3, 0.0, 1e-13), None),                # ROADMAP item 3, row 7
+]
+
+
+@pytest.mark.parametrize("point, cutoff", _PARITY_CORNERS)
+def test_parity_split_at_the_domain_corners(point, cutoff):
+    # no floating-point exception but underflow, which the route turns to
+    # 0 itself, and the vector route's value, rank and method
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            got = qfi_numeric(*point, cutoff)
+    alpha, phi, omega, T = point
+    ref = (qfi_pure(probe_state(alpha, phi, omega, cutoff)) if T == 1.0
+           else qfi_mixed(lossy_probe_density(*point, cutoff)))
+    assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+    assert (got.rank, got.method) == (ref.rank, ref.method)
+    if T == 0.0:
+        assert got.value == 0.0
+    if point == (2.0, 0.3, 0.0, 1e-13):
+        assert got.value == pytest.approx(3.9999999999978e-13, rel=1e-13, abs=0.0)
+
+
+def test_parity_split_raises_the_vector_routes_errors(monkeypatch):
+    # a tail above tol_tail with the probe's message; an unaffordable cutoff
+    # before any table is built
+    with pytest.raises(TailTooLarge) as vector:
+        probe_state(0.3, 0.1, 1.0, FockCutoff(1))
+    with np.errstate(all="raise"), pytest.raises(TailTooLarge) as parity:
+        qfi_numeric(0.3, 0.1, 1.0, 0.5, FockCutoff(1))
+    assert str(parity.value) == str(vector.value)
+
+    def refuse(*args):
+        raise AssertionError("tables built before the cutoff check")
+
+    monkeypatch.setattr(simulate, "parity_tables", refuse)
+    with pytest.raises(DomainError, match="GiB limit"):
+        qfi_numeric(3.5, 0.1, 1.0, 0.5)
